@@ -53,33 +53,33 @@ impl EdgeOrder {
     }
 }
 
-/// How the earliest-finish processor probe fans candidate processors
-/// out over worker lanes (DESIGN.md §11). Purely a performance knob:
-/// every variant is bitwise-identical to the sequential
-/// mutate-and-rollback probe — workers probe copy-on-write overlays of
-/// the same base link state and the reducer applies the exact
-/// sequential tie-break order, so only wall-clock time changes.
+/// How the earliest-finish processor probe evaluates candidate
+/// processors (DESIGN.md §11). Purely a performance knob: every
+/// variant is bitwise-identical to the sequential reference probe —
+/// overlay lanes probe copy-on-write overlays of the same committed
+/// link state and the reducer applies the exact sequential tie-break
+/// order, so only wall-clock time changes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ProbeParallelism {
-    /// The pre-overlay mutate-and-rollback probe on the real link
-    /// queues (the differential reference twin).
+    /// The reference probe: schedule each candidate's in-edges onto the
+    /// real link queues, then unschedule them (the differential
+    /// reference twin; never the production path).
     Sequential,
-    /// Resolve the lane count from the environment once per scheduler
-    /// run ([`es_runner::Threads::resolve`]: `ES_THREADS` override,
-    /// else the CPU count). Resolving to 1 lane keeps the sequential
-    /// path — on a single-core host `Auto` is exactly `Sequential`.
+    /// Overlay probing on as many lanes as the environment offers,
+    /// resolved once per scheduler run ([`es_runner::Threads::resolve`]:
+    /// `ES_THREADS` override, else the CPU count). Resolving to 1 lane
+    /// runs the overlay probe inline, exactly like `Workers(1)`.
     Auto,
-    /// Exactly `n` lanes (clamped to ≥ 1). Unlike `Auto`, one lane
-    /// still takes the overlay path (inline, no worker threads) — the
-    /// differential oracle uses this to pin overlay semantics without
+    /// Overlay probing on exactly `n` lanes (clamped to ≥ 1); one lane
+    /// runs inline with no worker threads — the configuration the
+    /// differential oracle uses to pin overlay semantics without
     /// scheduling nondeterminism in the mix.
     Workers(usize),
 }
 
 impl ProbeParallelism {
     /// Lane count this variant resolves to right now (≥ 1).
-    /// `Sequential` reports 1; only [`ProbeParallelism::Workers`]
-    /// forces the overlay path at 1 lane.
+    /// `Sequential` reports 1.
     #[must_use]
     pub fn lanes(self) -> usize {
         match self {
@@ -89,15 +89,11 @@ impl ProbeParallelism {
         }
     }
 
-    /// Whether this variant takes the overlay probing path at all
-    /// (given its resolved lane count).
+    /// Whether this variant takes the overlay probing path — every
+    /// variant but the `Sequential` reference, at any lane count.
     #[must_use]
     pub fn uses_overlay(self) -> bool {
-        match self {
-            ProbeParallelism::Sequential => false,
-            ProbeParallelism::Auto => self.lanes() > 1,
-            ProbeParallelism::Workers(_) => true,
-        }
+        !matches!(self, ProbeParallelism::Sequential)
     }
 }
 
@@ -109,24 +105,21 @@ impl ProbeParallelism {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Tuning {
     /// Memoize modified-Dijkstra search state across the processor
-    /// candidates probed for one ready task. The cache is keyed by a
-    /// link-state epoch and the topology's identity signature, so it is
-    /// invalidated precisely when any link queue mutates or a different
-    /// (e.g. [`es_net::Topology::masked`]) adjacency view is used.
+    /// candidates the overlay probe evaluates for one ready task, and
+    /// run the remaining searches over hoisted scratch buffers. A
+    /// cached search serves only a candidate with no private delta yet
+    /// on a signed topology view, and is dropped at the next task, so
+    /// it never outlives the link state or the (e.g.
+    /// [`es_net::Topology::masked`]) adjacency view it searched.
     pub route_cache: bool,
     /// Use the indexed free-gap search in each link's `SlotQueue`
     /// ([`es_linksched::SlotQueue::indexed`]) instead of the linear
     /// first-fit rescan.
     pub indexed_gaps: bool,
-    /// Fan the earliest-finish processor probe out over copy-on-write
-    /// link-state overlays (see [`ProbeParallelism`]).
+    /// How the earliest-finish processor probe evaluates candidates:
+    /// copy-on-write link-state overlays on one or more lanes, or the
+    /// sequential reference (see [`ProbeParallelism`]).
     pub parallel_probe: ProbeParallelism,
-    /// Restore checkpointed link state by memcpying saved slot columns
-    /// back into the touched queues instead of replaying per-hop
-    /// `unschedule` calls (DESIGN.md §16). First-touch column saves are
-    /// taken during the probe cycle, so a restore is a bounded import
-    /// of exactly the queues that mutated since `checkpoint()`.
-    pub snapshot_restore: bool,
 }
 
 impl Tuning {
@@ -137,7 +130,6 @@ impl Tuning {
             route_cache: true,
             indexed_gaps: true,
             parallel_probe: ProbeParallelism::Auto,
-            snapshot_restore: true,
         }
     }
 
@@ -149,7 +141,6 @@ impl Tuning {
             route_cache: false,
             indexed_gaps: false,
             parallel_probe: ProbeParallelism::Sequential,
-            snapshot_restore: false,
         }
     }
 }
@@ -429,14 +420,11 @@ mod tests {
         assert!(!ProbeParallelism::Sequential.uses_overlay());
         assert_eq!(ProbeParallelism::Workers(0).lanes(), 1);
         assert_eq!(ProbeParallelism::Workers(4).lanes(), 4);
-        // Workers forces the overlay path even at one lane, so the
-        // differential oracle can pin overlay semantics thread-free.
+        // Every non-reference variant takes the overlay path at any
+        // lane count, so one lane is overlay-inline, never Sequential.
         assert!(ProbeParallelism::Workers(1).uses_overlay());
         assert!(ProbeParallelism::Auto.lanes() >= 1);
-        assert_eq!(
-            ProbeParallelism::Auto.uses_overlay(),
-            ProbeParallelism::Auto.lanes() > 1
-        );
+        assert!(ProbeParallelism::Auto.uses_overlay());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::slotted::{OverlayState, ProbeWorkspace, SlottedState};
 use es_dag::{priority_list, EdgeId, TaskGraph, TaskId};
 use es_linksched::time::EPS;
 use es_linksched::CommId;
-use es_net::{NodeId, ProcId, Topology};
+use es_net::{ProcId, Topology};
 use es_runner::WorkerPool;
 use std::sync::Mutex;
 
@@ -156,8 +156,6 @@ struct Run<'a> {
     /// Reused per-task buffers for the batch probe (clear-don't-drop).
     probe_edges: Vec<ProbeEdge>,
     probe_candidates: Vec<ProcId>,
-    /// Candidate destination nodes for the batch warm pass.
-    warm_dsts: Vec<NodeId>,
     probe_results: Vec<Mutex<Option<Result<f64, SchedError>>>>,
     /// Names the current probe cycle so lanes invalidate their
     /// incremental searches between tasks.
@@ -205,7 +203,6 @@ impl<'a> Run<'a> {
             probe_lanes,
             probe_edges: Vec::new(),
             probe_candidates: Vec::new(),
-            warm_dsts: Vec::new(),
             probe_results: Vec::new(),
             probe_serial: 0,
         })
@@ -293,11 +290,10 @@ impl<'a> Run<'a> {
     }
 
     /// Precompute `task`'s in-edge probe list once per task: every
-    /// [`ProbeEdge`] field is candidate-independent, so both probe
-    /// paths (serial and overlay) walk the same immutable list for
-    /// every candidate instead of re-deriving the edge order and ESTs
-    /// per processor. Mirrors [`Run::schedule_in_edges`] exactly (same
-    /// edge order, same ESTs).
+    /// [`ProbeEdge`] field is candidate-independent, so all overlay
+    /// lanes walk the same immutable list for every candidate instead
+    /// of re-deriving the edge order and ESTs per processor. Mirrors
+    /// [`Run::schedule_in_edges`] exactly (same edge order, same ESTs).
     fn prepare_probe_edges(&mut self, task: TaskId) {
         let ready_time = match self.cfg.edge_est {
             crate::config::EdgeEst::SourceFinish => None,
@@ -324,50 +320,12 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Probe `task`'s precomputed in-edges (see
-    /// [`Run::prepare_probe_edges`]) onto candidate `p` with basic
-    /// insertion and return the data-ready time.
-    fn probe_in_edges(&mut self, p: ProcId) -> Result<f64, SchedError> {
-        let mut data_ready = self.floor;
-        for k in 0..self.probe_edges.len() {
-            let pe = self.probe_edges[k];
-            let arrival = if pe.src_proc == p {
-                pe.src_finish
-            } else {
-                self.links.schedule_comm(
-                    self.topo,
-                    pe.comm,
-                    pe.est,
-                    pe.cost,
-                    pe.src_proc,
-                    p,
-                    self.cfg.routing,
-                    Insertion::Basic,
-                    self.cfg.switching,
-                )?
-            };
-            data_ready = data_ready.max(arrival);
-        }
-        Ok(data_ready)
-    }
-
-    /// Roll back the tentative link reservations of the current probe
-    /// list (the manual inverse of [`Run::probe_in_edges`]; skipped
-    /// when [`Tuning::snapshot_restore`] lets `restore` reimport the
-    /// touched columns wholesale).
-    fn rollback_probe_edges(&mut self, p: ProcId) {
-        for k in 0..self.probe_edges.len() {
-            let pe = self.probe_edges[k];
-            if pe.src_proc != p {
-                self.links.unschedule(pe.comm);
-            }
-        }
-    }
-
     /// BA's processor choice: earliest task finish over all processors,
-    /// probed by tentatively scheduling the communications. Dispatches
-    /// to the speculative overlay path when configured; both paths are
-    /// bitwise identical (the differential oracle enforces it).
+    /// probed by tentatively scheduling the communications. Production
+    /// tunings take the overlay path at every lane count; only
+    /// [`crate::config::ProbeParallelism::Sequential`] takes the
+    /// reference path. Both are bitwise identical (the differential
+    /// oracle enforces it).
     fn pick_by_probe(&mut self, task: TaskId) -> Result<ProcId, SchedError> {
         if self.probe_pool.is_some() {
             self.pick_by_probe_overlay(task)
@@ -376,51 +334,42 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// The sequential mutate-and-rollback probe (reference path).
+    /// The sequential reference probe
+    /// ([`crate::config::ProbeParallelism::Sequential`]): schedule the
+    /// in-edges onto each candidate's real queues with basic insertion,
+    /// read the finish time, and unschedule the remote ones again. The
+    /// differential oracle holds the overlay path bitwise equal to it.
     fn pick_by_probe_serial(&mut self, task: TaskId) -> Result<ProcId, SchedError> {
         let weight = self.dag.weight(task);
-        // Batch in-edge probing (DESIGN.md §16): one edge-ordering pass
-        // per task instead of one per candidate, then all candidates
-        // walk the same immutable probe list.
-        self.prepare_probe_edges(task);
-        // All candidates probe the same link state and (for
-        // candidate-independent ESTs) the same search parameters, so a
-        // checkpoint lets the route cache share one incremental search
-        // across the whole loop. Each rollback is exact, which is what
-        // `restore` requires.
-        let cp = self.links.checkpoint();
-        // Warm the shared search for the first ordered edge — the only
-        // one probed at the pristine checkpoint state for every
-        // candidate — across all candidate destinations in a single
-        // wavefront pass (answer-neutral; a no-op when the route cache
-        // is not consultable).
-        if let Some(pe) = self.probe_edges.first().copied() {
-            self.warm_dsts.clear();
-            for p in self.topo.proc_ids() {
-                if p != pe.src_proc {
-                    self.warm_dsts.push(self.topo.node_of_proc(p));
-                }
-            }
-            self.links.warm_route_searches(
-                self.topo,
-                pe.src_proc,
-                pe.est,
-                pe.cost,
-                &self.warm_dsts,
-                self.cfg.routing,
-                self.cfg.switching,
-            );
-        }
-        let snapshot_rollback = self.links.tuning().snapshot_restore;
+        // Debug-build proof that every rollback below is exact.
+        #[cfg(debug_assertions)]
+        let before: Vec<u64> = self
+            .links
+            .queues()
+            .iter()
+            .map(es_linksched::SlotQueue::content_digest)
+            .collect();
         let mut best: Option<(ProcId, f64)> = None;
         for p in self.topo.proc_ids() {
-            let data_ready = self.probe_in_edges(p)?;
+            let data_ready = self.schedule_in_edges(task, p, Insertion::Basic)?;
             let start = self.procs.earliest_start(p, data_ready);
             let finish = start + weight / self.topo.proc_speed(p);
-            if !snapshot_rollback {
-                self.rollback_probe_edges(p);
+            for k in 0..self.ordered_edges.len() {
+                let e = self.ordered_edges[k];
+                let src = self.dag.edge(e).src;
+                if self.placed[src.index()].expect("placed").proc != p {
+                    self.links.unschedule(self.comm(e));
+                }
             }
-            self.links.restore(cp);
+            #[cfg(debug_assertions)]
+            debug_assert!(
+                self.links
+                    .queues()
+                    .iter()
+                    .map(es_linksched::SlotQueue::content_digest)
+                    .eq(before.iter().copied()),
+                "probe rollback left the link queues changed"
+            );
             // TWIN(probe-tie-break): begin
             if best.is_none_or(|(_, bf)| finish < bf - EPS) {
                 best = Some((p, finish)); // TWIN-OK: serial keeps the loop binding as the candidate id
@@ -430,10 +379,11 @@ impl<'a> Run<'a> {
         Ok(best.expect("at least one processor").0)
     }
 
-    /// The speculative probe (DESIGN.md §11): every candidate processor
-    /// is probed concurrently against an immutable snapshot of the link
-    /// state through a private copy-on-write overlay, so no candidate
-    /// ever mutates shared queues. Workers only report finish-time
+    /// The overlay probe (DESIGN.md §11): every candidate processor is
+    /// probed against the immutable committed link state through a
+    /// private copy-on-write overlay — concurrently when the pool has
+    /// more than one lane, inline otherwise — so no candidate ever
+    /// mutates shared queues. Workers only report finish-time
     /// bits; the reducer below replays the exact sequential tie-break
     /// (ascending processor id, strict `EPS` improvement) and the exact
     /// sequential error semantics (first erroring candidate in
@@ -455,7 +405,7 @@ impl<'a> Run<'a> {
 
         // Immutable shared state for the burst; disjoint from the
         // pool's `&mut` borrow below.
-        let snap = self.links.queue_slices();
+        let base = self.links.queues();
         let tuning = self.links.tuning();
         let serial = self.probe_serial;
         let topo = self.topo;
@@ -471,7 +421,7 @@ impl<'a> Run<'a> {
             let p = candidates[idx];
             let mut ws = lanes_ws[lane].lock().expect("probe workspace lock");
             ws.begin_candidate(serial);
-            let mut ov = OverlayState::new(&snap, tuning, &mut ws);
+            let mut ov = OverlayState::new(base, tuning, &mut ws);
             let mut out: Result<f64, SchedError> = Ok(0.0);
             let mut data_ready = floor;
             for pe in edges {
@@ -479,7 +429,7 @@ impl<'a> Run<'a> {
                     pe.src_finish
                 } else {
                     // Probes always use basic insertion, exactly like
-                    // the reversible sequential probe.
+                    // the sequential reference probe.
                     match ov.schedule_comm(
                         topo,
                         pe.comm,

@@ -1,15 +1,22 @@
-//! Property: the route/probe cache never serves a stale route. Twin
+//! Property: no route cache ever serves a stale route. Twin
 //! [`SlottedState`]s — one with the optimized tuning (cache + indexed
 //! gaps), one with the reference tuning — are driven through identical
-//! random sequences of probe cycles (checkpoint → tentative schedule →
-//! exact rollback → restore), real commits, and schedules against
+//! random sequences of probe cycles (tentative schedule → exact
+//! `unschedule` per candidate), real commits, and schedules against
 //! masked repair views of the topology. Every returned arrival time
-//! and every recorded placement must match bit for bit; any stale
-//! cache entry surviving a link-queue mutation or a topology mask
-//! switch would diverge here.
+//! and every recorded placement must match bit for bit.
+//!
+//! An overlay leg probes every candidate of every cycle a second time,
+//! through one [`ProbeWorkspace`] over the optimized state's committed
+//! queues (`begin_candidate` per candidate, one serial per cycle) — the
+//! production probe path, whose incremental-search cache is the only
+//! cache that survives across candidates. Each overlay arrival must
+//! equal bitwise what `schedule_comm` returns on the reference state,
+//! masked views included; a search surviving a commit or a mask switch
+//! would diverge here.
 
 use es_core::config::{Insertion, Routing, Switching};
-use es_core::slotted::SlottedState;
+use es_core::slotted::{OverlayState, ProbeWorkspace, SlottedState};
 use es_core::Tuning;
 use es_linksched::CommId;
 use es_net::gen::{self, WanConfig};
@@ -60,12 +67,30 @@ fn reqs_strategy() -> impl Strategy<Value = Vec<Req>> {
     })
 }
 
-fn drive(topo: &Topology, masked: &Topology, reqs: &[Req], tuning: Tuning) -> SlottedState {
-    let mut st = SlottedState::with_tuning(topo, reqs.len() * 8, tuning);
+/// Both sides' answer for one probe, compared bitwise.
+fn same_answer(a: &Result<f64, es_core::SchedError>, b: &Result<f64, es_core::SchedError>) -> bool {
+    match (a, b) {
+        (Ok(x), Ok(y)) => x.to_bits() == y.to_bits(),
+        (Err(x), Err(y)) => x == y,
+        _ => false,
+    }
+}
+
+/// Drive the script through an optimized and a reference state in
+/// lock step, checking the overlay leg against the reference state's
+/// probes as it goes.
+fn drive(
+    topo: &Topology,
+    masked: &Topology,
+    reqs: &[Req],
+) -> Result<(SlottedState, SlottedState), TestCaseError> {
+    let mut opt = SlottedState::with_tuning(topo, reqs.len() * 8 + 2, Tuning::optimized());
+    let mut refr = SlottedState::with_tuning(topo, reqs.len() * 8 + 2, Tuning::reference());
+    let mut ws = ProbeWorkspace::new(topo.link_count());
     let procs = topo.proc_count();
     let mut next = 0u64;
-    for r in reqs {
-        let from = r.from % procs;
+    for (serial, r) in reqs.iter().enumerate() {
+        let from = es_net::ProcId((r.from % procs) as u32);
         let view = if r.masked { masked } else { topo };
         let insertion = if r.optimal {
             Insertion::Optimal
@@ -73,59 +98,108 @@ fn drive(topo: &Topology, masked: &Topology, reqs: &[Req], tuning: Tuning) -> Sl
             Insertion::Basic
         };
         // Probe cycle over candidate destinations, mirroring
-        // pick_by_probe: tentative schedules are exactly rolled back
-        // before each restore, so the cache may serve repeat searches.
-        let cp = st.checkpoint();
+        // pick_by_probe: each candidate probes this request's
+        // communication plus a follow-up that must see it.
+        let probes = [
+            (CommId(next), r.est, r.cost),
+            (CommId(next + 1), r.est + 1.0, r.cost / 2.0),
+        ];
         for c in 0..r.candidates {
-            let to = (r.to + c) % procs;
+            let to = es_net::ProcId(((r.to + c) % procs) as u32);
             if to == from {
-                st.restore(cp);
                 continue;
             }
+            ws.begin_candidate(serial as u64 + 1);
+            let mut ov = OverlayState::new(opt.queues(), opt.tuning(), &mut ws);
+            let mut placed = Vec::new();
+            for &(comm, est, cost) in &probes {
+                let want = refr.schedule_comm(
+                    view,
+                    comm,
+                    est,
+                    cost,
+                    from,
+                    to,
+                    Routing::ModifiedDijkstra,
+                    Insertion::Basic,
+                    Switching::CutThrough,
+                );
+                let got = ov.schedule_comm(
+                    view,
+                    comm,
+                    est,
+                    cost,
+                    from,
+                    to,
+                    Routing::ModifiedDijkstra,
+                    Switching::CutThrough,
+                );
+                prop_assert!(
+                    same_answer(&got, &want),
+                    "overlay probe {:?} vs reference {:?} (cycle {}, candidate {})",
+                    got,
+                    want,
+                    serial,
+                    c
+                );
+                if want.is_err() {
+                    break;
+                }
+                placed.push(comm);
+            }
+            for &comm in placed.iter().rev() {
+                refr.unschedule(comm);
+            }
+            // The optimized state's own probe cycle: schedule, then
+            // roll back exactly.
+            for &(comm, est, cost) in &probes {
+                let ok = opt
+                    .schedule_comm(
+                        view,
+                        comm,
+                        est,
+                        cost,
+                        from,
+                        to,
+                        Routing::ModifiedDijkstra,
+                        Insertion::Basic,
+                        Switching::CutThrough,
+                    )
+                    .is_ok();
+                if !ok {
+                    break;
+                }
+                opt.unschedule(comm);
+            }
+        }
+        // Real commit (mutates the link queues, so no search from
+        // this cycle may be served afterwards).
+        let to = if r.to % procs == from.0 as usize {
+            (from.0 as usize + 1) % procs
+        } else {
+            r.to % procs
+        };
+        if to != from.0 as usize {
             let comm = CommId(next);
-            let ok = st
-                .schedule_comm(
+            for st in [&mut opt, &mut refr] {
+                let _ = st.schedule_comm(
                     view,
                     comm,
                     r.est,
                     r.cost,
-                    es_net::ProcId(from as u32),
+                    from,
                     es_net::ProcId(to as u32),
                     Routing::ModifiedDijkstra,
-                    Insertion::Basic,
+                    insertion,
                     Switching::CutThrough,
-                )
-                .is_ok();
-            if ok {
-                st.unschedule(comm);
+                );
             }
-            st.restore(cp);
         }
-        // Real commit (mutates the link queues, moving the epoch, so
-        // any cached search must stop being served afterwards).
-        let to = if r.to % procs == from {
-            (from + 1) % procs
-        } else {
-            r.to % procs
-        };
-        if to != from {
-            let comm = CommId(next);
-            next += 1;
-            let _ = st.schedule_comm(
-                view,
-                comm,
-                r.est,
-                r.cost,
-                es_net::ProcId(from as u32),
-                es_net::ProcId(to as u32),
-                Routing::ModifiedDijkstra,
-                insertion,
-                Switching::CutThrough,
-            );
-        }
+        next += 2;
     }
-    st.check_invariants().expect("invariants");
-    st
+    opt.check_invariants().map_err(TestCaseError::fail)?;
+    refr.check_invariants().map_err(TestCaseError::fail)?;
+    Ok((opt, refr))
 }
 
 proptest! {
@@ -150,8 +224,7 @@ proptest! {
         // the view — NoRoute results must then match on both sides).
         let masked = topo.masked(|l| (mask_seed >> (l.index() % 61)) & 1 == 1);
 
-        let opt = drive(&topo, &masked, &reqs, Tuning::optimized());
-        let refr = drive(&topo, &masked, &reqs, Tuning::reference());
+        let (opt, refr) = drive(&topo, &masked, &reqs)?;
 
         for link in topo.link_ids() {
             let (a, b) = (opt.queue(link), refr.queue(link));

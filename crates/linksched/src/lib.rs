@@ -40,7 +40,7 @@ pub use model::{LinkCheckpoint, LinkModel, Reservation};
 pub use optimal::{optimal_insert, OptimalPlacement, SlotShift};
 pub use overlay::SlotQueueOverlay;
 pub use saf::SafLink;
-pub use slot::{QueueSnapArena, Slot, SlotQueue, SnapWindow};
+pub use slot::{Slot, SlotQueue};
 pub use time::{approx_eq, approx_ge, approx_gt, approx_le, approx_lt, Interval, EPS};
 
 /// SplitMix64-style hash step shared by the backend content digests.

@@ -166,54 +166,6 @@ impl GapIndex {
 /// therefore pay no index upkeep at all.
 const MIN_INDEXED_LEN: usize = 8;
 
-/// Shared flat buffers holding verbatim column snapshots of many
-/// queues, appended by [`SlotQueue::snapshot_into`] and read back by
-/// [`SlotQueue::restore_from`] (the checkpoint arena of DESIGN.md
-/// §16). One arena serves a whole probe cycle: each saved queue owns a
-/// [`SnapWindow`] of rows, and clearing between cycles keeps the
-/// allocations hot instead of churning per-queue buffers.
-#[derive(Clone, Debug, Default)]
-pub struct QueueSnapArena {
-    /// Slot-start bit-column rows.
-    pub starts: Vec<f64>,
-    /// Slot-end bit-column rows.
-    pub ends: Vec<f64>,
-    /// u32 comm-arena-id column rows (resolved through `arena_ids`).
-    pub comm_ids: Vec<u32>,
-    /// Per-slot route sequence numbers.
-    pub seqs: Vec<u32>,
-    /// Captured comm-arena table: arena id -> raw comm id.
-    pub arena_ids: Vec<u64>,
-    /// Captured comm-arena search table, sorted by raw comm id.
-    pub arena_sorted: Vec<(u64, u32)>,
-}
-
-impl QueueSnapArena {
-    /// Drop every captured window, keeping the buffer capacity.
-    pub fn clear(&mut self) {
-        self.starts.clear();
-        self.ends.clear();
-        self.comm_ids.clear();
-        self.seqs.clear();
-        self.arena_ids.clear();
-        self.arena_sorted.clear();
-    }
-}
-
-/// One queue's rows inside a [`QueueSnapArena`]: `[off, off + n)` in
-/// the slot columns and `[aoff, aoff + an)` in the arena tables.
-#[derive(Clone, Copy, Debug)]
-pub struct SnapWindow {
-    /// First row of this queue's slot columns.
-    pub off: u32,
-    /// Number of slots captured.
-    pub n: u32,
-    /// First row of this queue's arena tables.
-    pub aoff: u32,
-    /// Number of arena entries captured.
-    pub an: u32,
-}
-
 /// Sorted, non-overlapping queue of occupied slots on one link, stored
 /// as a retained `Vec<Slot>` plus SoA probe columns (module docs).
 #[derive(Clone, Debug, Default)]
@@ -324,80 +276,6 @@ impl SlotQueue {
         &self.slots
     }
 
-    /// Append this queue's content to a shared snapshot arena — the
-    /// checkpoint arena's save path (DESIGN.md §16). Everything the
-    /// restore needs is captured *verbatim*: the f64 bit-columns, the
-    /// u32 comm-id column, the slot seqs and the comm-arena tables, so
-    /// a save is six bounded memcpys and the matching
-    /// [`SlotQueue::restore_from`] never re-interns or searches.
-    /// Returns the window naming this queue's rows in the arena.
-    pub fn snapshot_into(&self, a: &mut QueueSnapArena) -> SnapWindow {
-        let off = a.starts.len() as u32;
-        let aoff = a.arena_ids.len() as u32;
-        a.starts.extend_from_slice(&self.col_start);
-        a.ends.extend_from_slice(&self.col_end);
-        a.comm_ids.extend_from_slice(&self.col_comm);
-        a.seqs.extend(self.slots.iter().map(|s| s.seq));
-        a.arena_ids.extend_from_slice(&self.arena.ids);
-        a.arena_sorted.extend_from_slice(&self.arena.sorted);
-        SnapWindow {
-            off,
-            n: self.slots.len() as u32,
-            aoff,
-            an: self.arena.ids.len() as u32,
-        }
-    }
-
-    /// Replace this queue's content with a window previously captured
-    /// by [`SlotQueue::snapshot_into`] and reset the epoch to the value
-    /// observed at capture time — the checkpoint arena's restore path.
-    /// Sound for the same reason as `LinkModel::restore`: the caller
-    /// replays content captured *at* that epoch, so epoch and content
-    /// stay in agreement (the restore checksum in
-    /// `SlottedState::restore` re-proves it in debug builds). The
-    /// columns and arena tables come back as plain `extend_from_slice`
-    /// copies (bit-faithful to the captured state — no re-interning),
-    /// the AoS mirror is rebuilt by one gather pass and the gap index
-    /// by one refold, so every invariant of
-    /// [`SlotQueue::check_invariants`] holds on return.
-    pub fn restore_from(&mut self, a: &QueueSnapArena, w: SnapWindow, epoch: u64) {
-        let (off, n) = (w.off as usize, w.n as usize);
-        let (aoff, an) = (w.aoff as usize, w.an as usize);
-        let starts = &a.starts[off..off + n];
-        let ends = &a.ends[off..off + n];
-        let comm_ids = &a.comm_ids[off..off + n];
-        let seqs = &a.seqs[off..off + n];
-        let arena_ids = &a.arena_ids[aoff..aoff + an];
-        self.col_start.clear();
-        self.col_start.extend_from_slice(starts);
-        self.col_end.clear();
-        self.col_end.extend_from_slice(ends);
-        self.col_comm.clear();
-        self.col_comm.extend_from_slice(comm_ids);
-        self.arena.ids.clear();
-        self.arena.ids.extend_from_slice(arena_ids);
-        self.arena.sorted.clear();
-        self.arena
-            .sorted
-            .extend_from_slice(&a.arena_sorted[aoff..aoff + an]);
-        self.slots.clear();
-        for i in 0..n {
-            self.slots.push(Slot {
-                comm: CommId(arena_ids[comm_ids[i] as usize]),
-                seq: seqs[i],
-                start: starts[i],
-                end: ends[i],
-            });
-        }
-        if let Some(ix) = &mut self.index {
-            ix.pme.clear();
-            ix.pme.resize(n, 0.0);
-            ix.dirty_from = CLEAN;
-            ix.refold(&self.col_end, 0, false);
-        }
-        self.epoch = epoch;
-    }
-
     /// Refold the gap index after a deferred mutation burst (the
     /// optimal-insertion shift path). No-op when the index is absent or
     /// already clean; probes on a dirty queue fall back to the
@@ -425,21 +303,28 @@ impl SlotQueue {
     pub fn probe(&self, bound: f64, duration: f64) -> f64 {
         match &self.index {
             Some(ix) if ix.dirty_from == CLEAN => {
-                if self.slots.len() >= MIN_INDEXED_LEN {
-                    // Slots before i0 all end below bound - EPS: they
-                    // can neither satisfy the fit test (their start is
-                    // below the candidate) nor raise the candidate
-                    // above `bound`. pme is non-decreasing, so the
-                    // predicate is partitioned.
-                    let i0 = ix.pme.partition_point(|&e| e < bound - EPS);
-                    self.probe_columns(i0, bound, duration)
-                } else {
-                    self.probe_columns(0, bound, duration)
-                }
+                self.probe_columns(self.live_from(bound), bound, duration)
             }
             // Dirty index (mid optimal-insertion burst) or no index:
             // the reference scan needs no acceleration state.
             _ => self.probe_reference(bound, duration),
+        }
+    }
+
+    /// Length of the inert prefix for a probe with lower bound
+    /// `bound`: every slot before the returned index ends below
+    /// `bound - EPS`, so it can neither satisfy the fit test (its start
+    /// is below the candidate) nor raise the candidate above `bound`.
+    /// `pme` is non-decreasing, so the predicate is partitioned. Found
+    /// through the gap index when it is clean and the queue is long
+    /// enough to be indexed; 0 (skip nothing) otherwise. Overlay probes
+    /// start their merge here too (DESIGN.md §11).
+    pub fn live_from(&self, bound: f64) -> usize {
+        match &self.index {
+            Some(ix) if ix.dirty_from == CLEAN && self.slots.len() >= MIN_INDEXED_LEN => {
+                ix.pme.partition_point(|&e| e < bound - EPS)
+            }
+            _ => 0,
         }
     }
 
@@ -1069,28 +954,27 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips() {
+    fn live_from_skips_only_the_inert_prefix() {
+        // Slots [4i, 4i + 2): the prefix ending below bound - EPS is
+        // inert; short, unindexed and dirty queues skip nothing.
         let mut q = SlotQueue::with_gap_index();
-        for i in 0..12u64 {
-            let start = q.probe(i as f64 * 1.7, 1.2);
-            q.commit(c(i % 5), (i / 5) as u32, start, 1.2);
+        let mut plain = SlotQueue::new();
+        for i in 0..(MIN_INDEXED_LEN as u64 + 4) {
+            q.commit(c(i), 0, i as f64 * 4.0, 2.0);
+            plain.commit(c(i), 0, i as f64 * 4.0, 2.0);
         }
-        let digest = q.content_digest();
-        let epoch = q.epoch();
-        let mut arena = QueueSnapArena::default();
-        let w = q.snapshot_into(&mut arena);
-        assert_eq!(w.n, 12);
-        // Mutate, then restore from the captured window.
-        q.commit(c(99), 0, q.horizon() + 5.0, 2.0);
-        q.remove_comm(c(1));
-        assert_ne!(q.content_digest(), digest);
-        q.restore_from(&arena, w, epoch);
-        assert_eq!(q.content_digest(), digest);
-        assert_eq!(q.epoch(), epoch);
-        q.check_invariants().unwrap();
-        assert_eq!(
-            q.probe(0.0, 1.0).to_bits(),
-            q.probe_reference(0.0, 1.0).to_bits()
-        );
+        assert_eq!(q.live_from(0.0), 0);
+        assert_eq!(q.live_from(10.0), 2, "slots ending at 2 and 6 are inert");
+        // A slot ending exactly at the bound still counts as live.
+        assert_eq!(q.live_from(6.0), 1);
+        assert_eq!(q.live_from(1e9), q.len());
+        assert_eq!(plain.live_from(10.0), 0);
+        q.shift_right(5, 0.5);
+        assert_eq!(q.live_from(10.0), 0, "dirty index: skip nothing");
+        q.index_refold();
+        assert_eq!(q.live_from(10.0), 2);
+        let mut short = SlotQueue::with_gap_index();
+        short.commit(c(0), 0, 0.0, 1.0);
+        assert_eq!(short.live_from(50.0), 0);
     }
 }

@@ -3,10 +3,13 @@
 //! probe bitwise identically to a really-mutated queue and, after an
 //! arbitrary probe→commit script, merge to the identical slot sequence
 //! (which is what makes the speculative parallel probe in `es-core`
-//! exact — see DESIGN.md §11).
+//! exact — see DESIGN.md §11). It also pins the inert-prefix skip the
+//! scheduler's overlay probes take through the base queue's gap index
+//! ([`SlotQueue::live_from`]).
 
 use es_linksched::overlay::SlotQueueOverlay;
 use es_linksched::slot::{Slot, SlotQueue};
+use es_linksched::time::EPS;
 use es_linksched::CommId;
 use proptest::prelude::*;
 
@@ -166,6 +169,43 @@ proptest! {
         for (x, y) in base.slots().iter().zip(&before) {
             prop_assert_eq!(x.start.to_bits(), y.start.to_bits());
             prop_assert_eq!(x.end.to_bits(), y.end.to_bits());
+        }
+    }
+
+    /// The inert-prefix skip is bitwise-neutral: an overlay probe that
+    /// starts the base at [`SlotQueue::live_from`] answers exactly what
+    /// the full-base overlay probe answers, with and without a delta,
+    /// for bounds within a few EPS of every merged slot edge (the ties
+    /// where a skipped slot and a delta slot could trade places).
+    #[test]
+    fn live_from_skip_matches_full_base_probe(
+        reqs in prop::collection::vec((0.0f64..150.0, 0.1f64..15.0), 8..40),
+        probes in prop::collection::vec((0usize..128, -3i8..4, 0.1f64..20.0, prop::bool::ANY), 1..30),
+    ) {
+        let mut base = SlotQueue::with_gap_index();
+        for (i, (bound, dur)) in reqs.into_iter().enumerate() {
+            let start = base.probe(bound, dur);
+            base.commit(CommId(i as u64), 0, start, dur);
+        }
+        let mut delta: Vec<Slot> = Vec::new();
+        let mut edges: Vec<f64> = Vec::new();
+        for (k, (pick, tie, dur, keep)) in probes.into_iter().enumerate() {
+            edges.clear();
+            for s in SlotQueueOverlay::new(base.slots(), &delta).iter_merged() {
+                edges.push(s.start);
+                edges.push(s.end);
+            }
+            let bound = (edges[pick % edges.len()] + f64::from(tie) * 0.5 * EPS).max(0.0);
+            let skip = base.live_from(bound);
+            let full = SlotQueueOverlay::new(base.slots(), &delta).probe(bound, dur);
+            let skipped = SlotQueueOverlay::new(&base.slots()[skip..], &delta).probe(bound, dur);
+            prop_assert_eq!(full.to_bits(), skipped.to_bits(), "probe #{} (skip {})", k, skip);
+            let pristine = SlotQueueOverlay::new(&base.slots()[skip..], &[]).probe(bound, dur);
+            prop_assert_eq!(pristine.to_bits(), base.probe(bound, dur).to_bits());
+            if keep {
+                let comm = CommId(1000 + k as u64);
+                SlotQueueOverlay::commit_into(base.slots(), &mut delta, comm, 0, full, dur);
+            }
         }
     }
 }

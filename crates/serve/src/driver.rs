@@ -412,11 +412,15 @@ impl Core {
     /// stale frames (e.g. a reply racing a supervision kill, arriving
     /// after the job was already requeued) and for doomed workers (a
     /// chaos-killed attempt must die even if its reply won the race
-    /// against the signal).
+    /// against the signal). A verdict is proof of liveness, so it
+    /// counts as a pong: pings go only to idle workers, and a worker
+    /// just out of a long run of back-to-back jobs would otherwise look
+    /// silent for the whole run.
     fn clear_busy(&mut self, worker: u64, job: u64) -> bool {
         match self.workers.get_mut(&worker) {
             Some(slot) if !slot.doomed && matches!(slot.busy, Some((j, _)) if j == job) => {
                 slot.busy = None;
+                slot.last_pong = Instant::now();
                 true
             }
             _ => false,

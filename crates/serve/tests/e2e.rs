@@ -10,7 +10,7 @@ use es_serve::worker::compute_schedule;
 use es_serve::{run_driver, ChaosSpec, Client, ServeConfig, WorkerCommand};
 use es_wire::{AlgoId, Frame, Request, WireInstance, WireTuning};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn worker_cmd() -> WorkerCommand {
     WorkerCommand {
@@ -324,5 +324,61 @@ fn draining_driver_rejects_new_work() {
     }
     assert!(saw_schedule, "in-flight work drains to completion");
     assert!(saw_shutdown_reject, "post-shutdown work is refused, typed");
+    driver.join().expect("no panic").expect("clean run");
+}
+
+/// A worker that has just finished a long run of back-to-back jobs is
+/// healthy: its verdicts prove it alive even though it was never idle
+/// long enough to be pinged. Regression: the supervisor used to kill
+/// it (and respawn a replacement) at the first idle tick, because its
+/// last pong predated a busy stretch longer than stall + heartbeat.
+#[test]
+fn worker_idle_after_long_busy_stretch_is_not_killed() {
+    let mut cfg = fast_cfg(&test_socket("busystretch"));
+    cfg.queue_cap = 4096;
+    // Size the burst from this machine's compute speed: enough heavy
+    // requests to keep both workers busy for about 1.5 s in total.
+    let probe = 5u64;
+    let t0 = Instant::now();
+    for id in 0..probe {
+        compute_schedule(&heavy_request(id)).expect("schedulable");
+    }
+    let per_request =
+        (t0.elapsed() / u32::try_from(probe).unwrap()).max(Duration::from_micros(100));
+    let n = u64::try_from((3_000_000 / per_request.as_micros()).clamp(16, 3000)).unwrap();
+
+    let (driver, socket) = start_driver(cfg);
+    let mut client = Client::connect(&socket).expect("connect");
+    let burst = Instant::now();
+    for id in 0..n {
+        client
+            .send(&Frame::Request(heavy_request(id)))
+            .expect("send");
+    }
+    for _ in 0..n {
+        match client.recv().expect("reply").expect("stream open") {
+            Frame::Schedule(reply) => assert_eq!(reply.attempts, 1, "request {}", reply.id),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    let busy = burst.elapsed();
+    assert!(
+        busy > Duration::from_millis(500),
+        "burst of {n} finished in {busy:?}: too short to outlast stall + heartbeat"
+    );
+    // Idle long enough for several supervision ticks.
+    std::thread::sleep(Duration::from_millis(200));
+    match client.round_trip(&Frame::StatsRequest).expect("stats") {
+        Frame::Stats(stats) => {
+            assert_eq!(stats.completed, n);
+            assert_eq!(
+                stats.worker_kills, 0,
+                "healthy worker killed after busy stretch"
+            );
+            assert_eq!(stats.worker_respawns, 0);
+        }
+        other => panic!("expected stats, got {other:?}"),
+    }
+    client.send(&Frame::Shutdown).expect("shutdown");
     driver.join().expect("no panic").expect("clean run");
 }

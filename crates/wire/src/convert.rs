@@ -48,7 +48,6 @@ impl WireTuning {
         Self {
             route_cache: t.route_cache,
             indexed_gaps: t.indexed_gaps,
-            snapshot_restore: t.snapshot_restore,
             lanes: match t.parallel_probe {
                 ProbeParallelism::Sequential => WireLanes::Sequential,
                 ProbeParallelism::Auto => WireLanes::Auto,
@@ -64,7 +63,6 @@ impl WireTuning {
         Tuning {
             route_cache: self.route_cache,
             indexed_gaps: self.indexed_gaps,
-            snapshot_restore: self.snapshot_restore,
             parallel_probe: match self.lanes {
                 WireLanes::Sequential => ProbeParallelism::Sequential,
                 WireLanes::Auto => ProbeParallelism::Auto,
@@ -273,7 +271,6 @@ mod tests {
                 route_cache: true,
                 indexed_gaps: false,
                 parallel_probe: ProbeParallelism::Workers(3),
-                snapshot_restore: true,
             },
         ] {
             assert_eq!(WireTuning::from_tuning(t).to_tuning(), t);

@@ -100,8 +100,6 @@ pub struct WireTuning {
     pub route_cache: bool,
     /// Enable the indexed free-gap search.
     pub indexed_gaps: bool,
-    /// Enable the §16 column-snapshot checkpoint/restore.
-    pub snapshot_restore: bool,
     /// Probe parallelism.
     pub lanes: WireLanes,
 }
@@ -110,7 +108,6 @@ impl WireTuning {
     fn put(self, w: &mut ByteWriter) {
         w.put_bool(self.route_cache);
         w.put_bool(self.indexed_gaps);
-        w.put_bool(self.snapshot_restore);
         match self.lanes {
             WireLanes::Sequential => w.put_u8(0),
             WireLanes::Auto => w.put_u8(1),
@@ -124,7 +121,6 @@ impl WireTuning {
     fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         let route_cache = r.get_bool("tuning.route_cache")?;
         let indexed_gaps = r.get_bool("tuning.indexed_gaps")?;
-        let snapshot_restore = r.get_bool("tuning.snapshot_restore")?;
         let lanes = match r.get_u8()? {
             0 => WireLanes::Sequential,
             1 => WireLanes::Auto,
@@ -139,7 +135,6 @@ impl WireTuning {
         Ok(Self {
             route_cache,
             indexed_gaps,
-            snapshot_restore,
             lanes,
         })
     }
@@ -961,7 +956,6 @@ mod tests {
             tuning: WireTuning {
                 route_cache: true,
                 indexed_gaps: true,
-                snapshot_restore: true,
                 lanes: WireLanes::Workers(2),
             },
             instance: WireInstance {
@@ -1110,6 +1104,16 @@ mod tests {
         assert_eq!(
             read_preamble(&mut cur),
             Err(WireError::UnsupportedVersion(9))
+        );
+        // v3 streams still carry the dropped snapshot-restore tuning
+        // byte; they are refused at the preamble, never mis-decoded.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&3u16.to_le_bytes());
+        let mut cur = std::io::Cursor::new(buf);
+        assert_eq!(
+            read_preamble(&mut cur),
+            Err(WireError::UnsupportedVersion(3))
         );
     }
 

@@ -32,7 +32,6 @@ fn arb_tuning(rng: &mut StdRng) -> WireTuning {
     WireTuning {
         route_cache: rng.random_bool(0.5),
         indexed_gaps: rng.random_bool(0.5),
-        snapshot_restore: rng.random_bool(0.5),
         lanes: match rng.random_range(0..3u8) {
             0 => WireLanes::Sequential,
             1 => WireLanes::Auto,

@@ -167,13 +167,6 @@ fn each_optimization_is_independently_identical() {
                         ..Tuning::reference()
                     },
                 ),
-                (
-                    "snapshot-only",
-                    Tuning {
-                        snapshot_restore: true,
-                        ..Tuning::reference()
-                    },
-                ),
             ] {
                 let s = run(tuning);
                 if let Some(d) = diff_schedules(&s, &refr) {

@@ -25,6 +25,10 @@
 //!   loop bodies of the batch-probe hot path (`list.rs` probe walk,
 //!   `slotted.rs` route/placement/rollback machinery — DESIGN.md §16).
 //!
+//! L4 and L5 also report (under their own codes) any listed target
+//! function that no longer exists in its file, so a rename cannot
+//! silently narrow their scope.
+//!
 //! Syntax-aware passes (DESIGN.md §12): N1 nondeterminism taint, N2
 //! epoch discipline, N3 twin drift, N4 unsafe audit, N5 lock
 //! discipline.
@@ -162,10 +166,12 @@ pub fn analyze_workspace(root: &Path) -> Vec<Finding> {
         }
         let l4_targets = probe_fns(rel);
         if !l4_targets.is_empty() {
+            lint_missing_targets(rel, l4_targets, &file.tokens, L4, &mut findings);
             lint_l4(rel, l4_targets, &file.tokens, &mut findings);
         }
         let l5_targets = batch_probe_fns(rel);
         if !l5_targets.is_empty() {
+            lint_missing_targets(rel, l5_targets, &file.tokens, L5, &mut findings);
             lint_l5(rel, l5_targets, &file.tokens, &mut findings);
         }
         if rel.starts_with("crates/core/src/") {
@@ -181,6 +187,10 @@ pub fn analyze_workspace(root: &Path) -> Vec<Finding> {
     findings.sort_by(|a, b| (a.code, &a.file, a.line).cmp(&(b.code, &b.file, b.line)));
     findings
 }
+
+/// Finding code and pass id of the loop-body lints.
+const L4: (&str, &str) = ("ES-A004", "L4");
+const L5: (&str, &str) = ("ES-A007", "L5");
 
 /// L1 scope: sources whose iteration order feeds scheduling decisions.
 fn in_hot_path(rel: &str) -> bool {
@@ -243,8 +253,6 @@ fn probe_fns(rel: &str) -> &'static [&'static str] {
             "pick_by_hybrid_criterion",
             "schedule_in_edges",
             "prepare_probe_edges",
-            "probe_in_edges",
-            "rollback_probe_edges",
             "order_in_edges",
         ],
         "crates/core/src/repair.rs" => &["rebuild", "pick_target"],
@@ -253,7 +261,7 @@ fn probe_fns(rel: &str) -> &'static [&'static str] {
 }
 
 /// L5 scope: the batch-probe loop bodies of the arena/SoA hot path
-/// (DESIGN.md §16) — the per-candidate probe walk in `list.rs` plus
+/// (DESIGN.md §16) — the per-candidate probe walks in `list.rs` plus
 /// the per-hop route/placement/rollback machinery in `slotted.rs`.
 fn batch_probe_fns(rel: &str) -> &'static [&'static str] {
     match rel {
@@ -261,22 +269,46 @@ fn batch_probe_fns(rel: &str) -> &'static [&'static str] {
             "pick_by_probe_serial",
             "pick_by_probe_overlay",
             "prepare_probe_edges",
-            "probe_in_edges",
-            "rollback_probe_edges",
         ],
         "crates/core/src/slotted.rs" => &[
             "schedule_comm",
             "pick_route_into",
             "place_on_route",
-            "warm_route_searches",
-            "snap_save",
-            "restore",
-            "pick_restore_mode",
             "unschedule",
             "release_comms",
             "route_for",
         ],
         _ => &[],
+    }
+}
+
+/// Scope check shared by the loop-body lints (L4, L5): every listed
+/// target must be defined in its file. Without it, renaming or
+/// deleting a hot-path function silently switches its lint off.
+fn lint_missing_targets(
+    rel: &str,
+    targets: &[&str],
+    tokens: &[Token],
+    (code, pass): (&'static str, &'static str),
+    findings: &mut Vec<Finding>,
+) {
+    for &target in targets {
+        let defined = tokens.windows(2).any(|w| {
+            matches!(&w[0].kind, TokenKind::Ident(f) if f == "fn")
+                && matches!(&w[1].kind, TokenKind::Ident(n) if n == target)
+        });
+        if !defined {
+            findings.push(Finding {
+                code,
+                pass,
+                file: rel.to_string(),
+                line: 0,
+                message: format!(
+                    "lint target `fn {target}` is not defined in this file — \
+                     update the {pass} target list after a rename or removal"
+                ),
+            });
+        }
     }
 }
 
@@ -375,8 +407,8 @@ fn lint_l4(rel: &str, targets: &[&str], tokens: &[Token], findings: &mut Vec<Fin
             return;
         };
         findings.push(Finding {
-            code: "ES-A004",
-            pass: "L4",
+            code: L4.0,
+            pass: L4.1,
             file: rel.to_string(),
             line: t.line,
             message: format!(
@@ -413,8 +445,8 @@ fn lint_l5(rel: &str, targets: &[&str], tokens: &[Token], findings: &mut Vec<Fin
             return;
         };
         findings.push(Finding {
-            code: "ES-A007",
-            pass: "L5",
+            code: L5.0,
+            pass: L5.1,
             file: rel.to_string(),
             line: t.line,
             message: format!(
@@ -642,7 +674,7 @@ mod tests {
 
     #[test]
     fn l5_flags_allocations_and_tree_maps_in_batch_probe_loops() {
-        let src = "fn probe_in_edges(&mut self) {\n\
+        let src = "fn prepare_probe_edges(&mut self) {\n\
                    for pe in edges {\n\
                    let b = Box::new(pe);\n\
                    let s = format!(\"{pe:?}\");\n\
@@ -703,6 +735,35 @@ mod tests {
             "{:?}",
             f.iter().map(|x| &x.message).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn loop_lints_report_missing_targets() {
+        // Only `place_on_route` of the slotted.rs targets exists here:
+        // every other listed function is reported, once, at line 0.
+        let toks = lex("fn place_on_route(&mut self) { for h in r { } }\n\
+                        fn unrelated() {}");
+        let targets = batch_probe_fns("crates/core/src/slotted.rs");
+        let mut f = Vec::new();
+        lint_missing_targets("crates/core/src/slotted.rs", targets, &toks, L5, &mut f);
+        assert_eq!(f.len(), targets.len() - 1);
+        assert!(f
+            .iter()
+            .all(|x| x.code == "ES-A007" && x.pass == "L5" && x.line == 0));
+        assert!(f.iter().any(|x| x.message.contains("`fn route_for`")));
+        assert!(!f.iter().any(|x| x.message.contains("`fn place_on_route`")));
+        // A target named only in a call or a string is still missing.
+        let toks = lex("fn other() { rebuild(); let s = \"fn pick_target\"; }");
+        let mut f = Vec::new();
+        lint_missing_targets(
+            "crates/core/src/repair.rs",
+            &["rebuild", "pick_target"],
+            &toks,
+            L4,
+            &mut f,
+        );
+        assert_eq!(f.len(), 2);
+        assert!(f.iter().all(|x| x.code == "ES-A004" && x.pass == "L4"));
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! **N2 — epoch discipline** (`ES-A020`).
 //!
-//! The PR 4 cacheability-window invariant: the route cache is keyed on
-//! the link-state epoch, so every function in `crates/core/src/` that
-//! mutates committed `SlotQueue` state must also bump the epoch
-//! (`touch()`) or invalidate the caches before returning. Until this
-//! pass, the invariant was enforced only by debug checksums at
-//! runtime; here it is structural.
+//! The cacheability-window invariant: a cache keyed on a link-state
+//! epoch is only sound if every function that mutates committed
+//! `SlotQueue` state also bumps that epoch (`touch()`) or invalidates
+//! the caches before returning.
 //!
 //! Mutators: `commit`, `remove_comm`, `remove_slot_at`, `shift_right`,
 //! `insert_at`, `optimal_insert_with`. Reconcilers: `touch`,
@@ -17,12 +15,14 @@
 //! reconciler call in the same body gets one finding per mutator call
 //! site. Test functions are exempt (they assert on raw queue state).
 //!
-//! Scope refinement: the invariant attaches to the *slotted* link
-//! state (`SlotQueue`/`SlottedState`/`OverlayState`), so only files
-//! that mention those types participate. The fluid BBSA path reuses
-//! the method names `commit`/`remove_comm` on `RateProfile`, but has
-//! no epoch-keyed cache — fresh route searches every probe — so an
-//! epoch bump there would be meaningless.
+//! Scope: the invariant attaches to core state that *owns* such an
+//! epoch, so only `crates/core/src/` files that define a reconciler
+//! (`fn touch` / `fn invalidate_caches`) participate. None does today:
+//! the one cache that outlives a single search, the overlay lanes'
+//! incremental searches, is scoped to one ready task instead of an
+//! epoch (DESIGN.md §11).
+//! The fluid BBSA path reuses the method names `commit`/`remove_comm`
+//! on `RateProfile` without any epoch, so it stays out of scope too.
 //!
 //! **Backend rule** (`ES-A021`, PR 8): since every link model now
 //! carries an epoch (the `LinkModel` trait's cache-invalidation
@@ -37,7 +37,6 @@
 //! bumping its epoch would silently break every epoch-keyed consumer.
 
 use super::Model;
-use crate::lexer::TokenKind;
 use crate::report::Finding;
 
 /// Calls that mutate committed SlotQueue / link state.
@@ -52,14 +51,6 @@ const MUTATORS: [&str; 6] = [
 
 /// Calls that reconcile the epoch/caches after mutation.
 const RECONCILERS: [&str; 2] = ["touch", "invalidate_caches"];
-
-/// Types whose presence marks a file as using the slotted machinery.
-const SLOTTED_TYPES: [&str; 4] = [
-    "SlotQueue",
-    "SlottedState",
-    "OverlayState",
-    "SlotQueueOverlay",
-];
 
 /// The `LinkModel` trait's mutating operations (plus the concrete
 /// queue mutators they delegate to): definitions under
@@ -86,19 +77,19 @@ pub fn run(model: &Model) -> Vec<Finding> {
     findings
 }
 
-/// Caller-side rule (`ES-A020`): core-crate fns that invoke a mutator
-/// must reconcile in the same body.
+/// Caller-side rule (`ES-A020`): in core files that own an epoch, fns
+/// that invoke a mutator must reconcile in the same body.
 fn caller_rule(model: &Model) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in &model.files {
         if !file.rel.starts_with("crates/core/src/") {
             continue;
         }
-        let uses_slotted = file.tokens.iter().any(|t| match &t.kind {
-            TokenKind::Ident(s) => SLOTTED_TYPES.contains(&s.as_str()),
-            _ => false,
-        });
-        if !uses_slotted {
+        let owns_epoch = file
+            .fns
+            .iter()
+            .any(|f| RECONCILERS.contains(&f.name.as_str()));
+        if !owns_epoch {
             continue;
         }
         for f in &file.fns {
@@ -188,9 +179,19 @@ mod tests {
 
     #[test]
     fn mutation_without_touch_fires() {
-        let f = run(&model("fn place(q: &mut SlotQueue) { q.commit(slot); }\n"));
+        let f = run(&model(
+            "fn touch(&mut self) { self.epoch += 1; }\n\
+             fn place(q: &mut SlotQueue) { q.commit(slot); }\n",
+        ));
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].code, "ES-A020");
+    }
+
+    #[test]
+    fn core_files_without_an_epoch_are_out_of_scope() {
+        // No reconciler defined: nothing in the file is epoch-keyed,
+        // so queue mutations need no bump (the queue bumps its own).
+        assert!(run(&model("fn place(q: &mut SlotQueue) { q.commit(slot); }\n")).is_empty());
     }
 
     #[test]
