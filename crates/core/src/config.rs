@@ -146,15 +146,9 @@ impl Tuning {
 }
 
 impl Default for Tuning {
-    /// Optimized, unless the `reference-default` cargo feature flips
-    /// the whole workspace onto the reference paths (used by the
-    /// differential oracle to double-build identical binaries).
+    /// The production configuration, [`Tuning::optimized`].
     fn default() -> Self {
-        if cfg!(feature = "reference-default") {
-            Self::reference()
-        } else {
-            Self::optimized()
-        }
+        Self::optimized()
     }
 }
 
@@ -402,15 +396,10 @@ mod tests {
     }
 
     #[test]
-    fn tuning_default_tracks_reference_feature() {
-        let expect = if cfg!(feature = "reference-default") {
-            Tuning::reference()
-        } else {
-            Tuning::optimized()
-        };
-        assert_eq!(Tuning::default(), expect);
-        assert_eq!(ListConfig::ba().tuning, expect);
-        assert_eq!(ListConfig::oihsa_probing().tuning, expect);
+    fn tuning_default_is_optimized() {
+        assert_eq!(Tuning::default(), Tuning::optimized());
+        assert_eq!(ListConfig::ba().tuning, Tuning::optimized());
+        assert_eq!(ListConfig::oihsa_probing().tuning, Tuning::optimized());
         assert_ne!(Tuning::optimized(), Tuning::reference());
     }
 

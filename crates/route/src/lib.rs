@@ -20,6 +20,13 @@
 //!
 //! Both searches are deterministic: ties resolve to the earlier-settled
 //! vertex (BFS by adjacency order, Dijkstra by insertion sequence).
+//!
+//! Each search has one loop: [`bfs_route_with`], [`reachable_nodes_with`]
+//! and [`dijkstra_route_into_with`] run over caller-owned scratch
+//! buffers, and the allocating entry points [`bfs_route`] and
+//! [`dijkstra_route`] only wrap them with fresh buffers.
+//! [`IncrementalDijkstra`] is the one separate loop: a resumable search
+//! whose tests check it against the fresh targeted search.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,30 +42,10 @@ pub type Route = Vec<Hop>;
 
 /// Minimal (fewest-hops) route from `from` to `to`; `None` when
 /// unreachable. Ties resolve to adjacency order, so results are
-/// deterministic for a given topology.
+/// deterministic for a given topology. Allocates fresh buffers; see
+/// [`bfs_route_with`] for the search itself.
 pub fn bfs_route(topo: &Topology, from: NodeId, to: NodeId) -> Option<Route> {
-    if from == to {
-        return Some(Vec::new());
-    }
-    let n = topo.node_count();
-    let mut pred: Vec<Option<Hop>> = vec![None; n];
-    let mut seen = vec![false; n];
-    seen[from.index()] = true;
-    let mut queue = VecDeque::new();
-    queue.push_back(from);
-    while let Some(u) = queue.pop_front() {
-        for &hop in topo.hops_from(u) {
-            if !seen[hop.to.index()] {
-                seen[hop.to.index()] = true;
-                pred[hop.to.index()] = Some(hop);
-                if hop.to == to {
-                    return Some(reconstruct(&pred, from, to));
-                }
-                queue.push_back(hop.to);
-            }
-        }
-    }
-    None
+    bfs_route_with(topo, from, to, &mut BfsScratch::new())
 }
 
 fn reconstruct(pred: &[Option<Hop>], from: NodeId, to: NodeId) -> Route {
@@ -81,32 +68,11 @@ fn reconstruct_into(pred: &[Option<Hop>], from: NodeId, to: NodeId, out: &mut Ve
     out.reverse();
 }
 
-/// BFS flood from `from`: `result[n.index()]` is true iff vertex `n`
-/// is reachable (the source itself always is). Used by the repair
-/// layer to pre-flight connectivity on masked topology views before
-/// committing to a surviving-processor set.
-pub fn reachable_nodes(topo: &Topology, from: NodeId) -> Vec<bool> {
-    let mut seen = vec![false; topo.node_count()];
-    seen[from.index()] = true;
-    let mut queue = VecDeque::new();
-    queue.push_back(from);
-    while let Some(u) = queue.pop_front() {
-        for &hop in topo.hops_from(u) {
-            if !seen[hop.to.index()] {
-                seen[hop.to.index()] = true;
-                queue.push_back(hop.to);
-            }
-        }
-    }
-    seen
-}
-
 /// Reusable buffers for [`bfs_route_with`] / [`reachable_nodes_with`].
 ///
 /// Sweep contexts (repair pre-flights, per-state BFS caches) issue many
 /// searches back to back; sharing one scratch avoids reallocating the
-/// visited/predecessor/queue buffers on every call. Results are bitwise
-/// identical to the allocating entry points.
+/// visited/predecessor/queue buffers on every call.
 #[derive(Clone, Debug, Default)]
 pub struct BfsScratch {
     seen: Vec<bool>,
@@ -127,8 +93,8 @@ impl BfsScratch {
     }
 }
 
-/// [`bfs_route`] reusing the caller's scratch buffers. Bitwise
-/// identical to `bfs_route` (same traversal, same tie-breaking).
+/// [`bfs_route`] reusing the caller's scratch buffers: the one BFS
+/// route search.
 pub fn bfs_route_with(
     topo: &Topology,
     from: NodeId,
@@ -159,9 +125,11 @@ pub fn bfs_route_with(
     None
 }
 
-/// [`reachable_nodes`] reusing the caller's scratch buffers; the
-/// reachability flags are returned as a borrow of the scratch (valid
-/// until the next call). Bitwise identical to `reachable_nodes`.
+/// BFS flood from `from`: `result[n.index()]` is true iff vertex `n`
+/// is reachable (the source itself always is). The flags are a borrow
+/// of the scratch, valid until its next use. The repair layer uses this
+/// to pre-flight connectivity on masked topology views before
+/// committing to a surviving-processor set.
 pub fn reachable_nodes_with<'a>(
     topo: &Topology,
     from: NodeId,
@@ -226,71 +194,32 @@ impl Ord for HeapEntry {
 ///
 /// Returns the best route and the final state at `to`, or `None` when
 /// unreachable.
+///
+/// Allocates fresh buffers per call; see [`dijkstra_route_into_with`]
+/// for the search itself.
 pub fn dijkstra_route<S: Clone>(
     topo: &Topology,
     from: NodeId,
     to: NodeId,
     init: S,
-    mut relax: impl FnMut(&S, &Hop) -> S,
+    relax: impl FnMut(&S, &Hop) -> S,
     key: impl Fn(&S) -> f64,
 ) -> Option<(Route, S)> {
-    let n = topo.node_count();
-    let mut best: Vec<f64> = vec![f64::INFINITY; n];
-    let mut state: Vec<Option<S>> = vec![None; n];
-    let mut pred: Vec<Option<Hop>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    let mut seq = 0u64;
-
-    best[from.index()] = key(&init);
-    state[from.index()] = Some(init);
-    heap.push(HeapEntry {
-        key: best[from.index()],
-        seq,
-        node: from,
-    });
-
-    while let Some(HeapEntry {
-        node: u, key: k, ..
-    }) = heap.pop()
-    {
-        if settled[u.index()] || k > best[u.index()] + EPS {
-            continue;
-        }
-        settled[u.index()] = true;
-        if u == to {
-            let route = reconstruct(&pred, from, to);
-            let final_state = state[to.index()].clone().expect("settled node has state");
-            return Some((route, final_state));
-        }
-        let u_state = state[u.index()].clone().expect("popped node has state");
-        for &hop in topo.hops_from(u) {
-            if settled[hop.to.index()] {
-                continue;
-            }
-            let next = relax(&u_state, &hop);
-            let nk = key(&next);
-            debug_assert!(
-                nk + EPS >= k,
-                "routing metric decreased along a hop ({k} -> {nk}); Dijkstra invalid"
-            );
-            if nk < best[hop.to.index()] - EPS {
-                best[hop.to.index()] = nk;
-                state[hop.to.index()] = Some(next);
-                pred[hop.to.index()] = Some(hop);
-                seq += 1;
-                heap.push(HeapEntry {
-                    key: nk,
-                    seq,
-                    node: hop.to,
-                });
-            }
-        }
-    }
-    None
+    let mut route = Vec::new();
+    dijkstra_route_into_with(
+        topo,
+        from,
+        to,
+        init,
+        relax,
+        key,
+        &mut DijkstraScratch::new(),
+        &mut route,
+    )
+    .map(|state| (route, state))
 }
 
-/// Reusable buffers for [`dijkstra_route_with`], hoisting the per-call
+/// Reusable buffers for [`dijkstra_route_into_with`], hoisting the per-call
 /// allocations of [`dijkstra_route`] out of search-heavy loops (the
 /// scheduler probe cycle issues hundreds of thousands of searches).
 #[derive(Clone, Debug, Default)]
@@ -327,26 +256,10 @@ impl<S: Clone> DijkstraScratch<S> {
     }
 }
 
-/// [`dijkstra_route`] over caller-owned buffers — the loop body is the
-/// same statement for statement, so the result is bitwise identical;
-/// only the allocations differ.
-pub fn dijkstra_route_with<S: Clone>(
-    topo: &Topology,
-    from: NodeId,
-    to: NodeId,
-    init: S,
-    relax: impl FnMut(&S, &Hop) -> S,
-    key: impl Fn(&S) -> f64,
-    scratch: &mut DijkstraScratch<S>,
-) -> Option<(Route, S)> {
-    let mut route = Vec::new();
-    dijkstra_route_into_with(topo, from, to, init, relax, key, scratch, &mut route)
-        .map(|state| (route, state))
-}
-
-/// [`dijkstra_route_with`] writing the route into a caller-owned
-/// buffer (cleared first; left cleared when unreachable) and returning
-/// only the destination state. Same search, zero allocation per call.
+/// [`dijkstra_route`] over caller-owned buffers, writing the route into
+/// `out` (cleared first; left cleared when unreachable) and returning
+/// only the destination state: the one targeted modified-Dijkstra
+/// search, with zero allocation per call once the buffers are warm.
 #[allow(clippy::too_many_arguments)]
 pub fn dijkstra_route_into_with<S: Clone>(
     topo: &Topology,
@@ -661,7 +574,8 @@ mod tests {
     #[test]
     fn reachability_agrees_with_bfs_and_respects_masks() {
         let (t, p0, p1, _) = parallel_paths();
-        let all = reachable_nodes(&t, p0);
+        let mut scratch = BfsScratch::new();
+        let all = reachable_nodes_with(&t, p0, &mut scratch).to_vec();
         for n in t.node_ids() {
             assert_eq!(all[n.index()], bfs_route(&t, p0, n).is_some());
         }
@@ -676,11 +590,11 @@ mod tests {
             }
         }
         let cut = t.masked(|l| dead.contains(&l));
-        let isolated = reachable_nodes(&cut, p0);
+        let isolated = reachable_nodes_with(&cut, p0, &mut scratch);
         assert!(isolated[p0.index()]);
         assert_eq!(isolated.iter().filter(|&&r| r).count(), 1);
         // The rest of the network neither sees nor reaches it.
-        let from_p1 = reachable_nodes(&cut, p1);
+        let from_p1 = reachable_nodes_with(&cut, p1, &mut scratch);
         assert!(from_p1[p1.index()]);
         assert!(!from_p1[p0.index()], "p0 unreachable after the cut");
     }
@@ -781,18 +695,50 @@ mod tests {
 
     #[test]
     fn scratch_variants_match_allocating_ones() {
+        // One scratch of each kind, reused across every query in
+        // turn, must answer exactly as the fresh-buffer wrappers do.
         let mut rng = StdRng::seed_from_u64(21);
         let t = gen::random_switched_wan(&gen::WanConfig::heterogeneous(16), &mut rng);
-        let mut scratch = BfsScratch::new();
+        let mut queues: Vec<SlotQueue> = (0..t.link_count()).map(|_| SlotQueue::new()).collect();
+        for (i, q) in queues.iter_mut().enumerate().step_by(4) {
+            q.commit(es_linksched::CommId(i as u64), 0, 2.0, 30.0 + i as f64);
+        }
+        let duration = 6.0;
+        let relax = |&(s, f): &(f64, f64), hop: &Hop| {
+            let bound = s.max(f - duration);
+            let start = queues[hop.link.index()].probe(bound, duration);
+            (start, (start + duration).max(f))
+        };
+        let key = |&(_, f): &(f64, f64)| f;
+        let mut bfs = BfsScratch::new();
+        let mut dij = DijkstraScratch::new();
+        let mut route = Vec::new();
         for a in t.node_ids() {
-            let flags = reachable_nodes(&t, a);
-            assert_eq!(reachable_nodes_with(&t, a, &mut scratch), &flags[..]);
             for b in t.node_ids() {
-                assert_eq!(
-                    bfs_route_with(&t, a, b, &mut scratch),
-                    bfs_route(&t, a, b),
-                    "{a} -> {b}"
+                let fresh = bfs_route(&t, a, b);
+                let reached = reachable_nodes_with(&t, a, &mut bfs)[b.index()];
+                assert_eq!(reached, fresh.is_some(), "{a} -> {b}");
+                assert_eq!(bfs_route_with(&t, a, b, &mut bfs), fresh, "{a} -> {b}");
+                let fresh = dijkstra_route(&t, a, b, (1.0, 1.0), relax, key);
+                let reused = dijkstra_route_into_with(
+                    &t,
+                    a,
+                    b,
+                    (1.0, 1.0),
+                    relax,
+                    key,
+                    &mut dij,
+                    &mut route,
                 );
+                match (fresh, reused) {
+                    (None, None) => assert!(route.is_empty()),
+                    (Some((r1, s1)), Some(s2)) => {
+                        assert_eq!(r1, route, "{a} -> {b}");
+                        assert_eq!(s1.0.to_bits(), s2.0.to_bits(), "{a} -> {b}");
+                        assert_eq!(s1.1.to_bits(), s2.1.to_bits(), "{a} -> {b}");
+                    }
+                    (x, y) => panic!("reachability disagrees for {a} -> {b}: {x:?} vs {y:?}"),
+                }
             }
         }
     }

@@ -20,7 +20,7 @@ use es_sim::robustness::fault_seed;
 use es_sim::service::{ServiceMix, ServiceRequest};
 use es_wire::{
     AlgoId, DriverStats, Frame, RejectReason, Request, ScheduleReply, WireFault, WireInstance,
-    WireSchedule, WireTuning,
+    WireSchedule,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -94,7 +94,6 @@ pub fn to_wire_request(id: u64, req: &ServiceRequest) -> Request {
         deadline_ms: req.deadline_ms,
         tenant: req.tenant,
         algo,
-        tuning: WireTuning::current_default(),
         instance: WireInstance::from_config(&req.instance),
         fault: req.fault_intensity.map(|intensity| WireFault {
             intensity,

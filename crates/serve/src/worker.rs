@@ -33,7 +33,7 @@ pub fn compute_schedule(req: &Request) -> Result<WireSchedule, RejectReason> {
         });
     }
     let inst = es_workload::generate(&cfg);
-    let scheduler = req.algo.build(req.tuning.to_tuning());
+    let scheduler = req.algo.build();
     let schedule =
         scheduler
             .schedule(&inst.dag, &inst.topo)
@@ -130,7 +130,7 @@ pub fn run_worker() -> Result<(), WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use es_wire::{AlgoId, WireFault, WireInstance, WireTuning};
+    use es_wire::{AlgoId, WireFault, WireInstance};
 
     fn sample_request(id: u64, algo: AlgoId, fault: Option<WireFault>) -> Request {
         Request {
@@ -138,7 +138,6 @@ mod tests {
             deadline_ms: 0,
             tenant: 0,
             algo,
-            tuning: WireTuning::current_default(),
             instance: WireInstance {
                 heterogeneous: true,
                 processors: 4,

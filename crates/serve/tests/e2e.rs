@@ -8,7 +8,7 @@
 
 use es_serve::worker::compute_schedule;
 use es_serve::{run_driver, ChaosSpec, Client, ServeConfig, WorkerCommand};
-use es_wire::{AlgoId, Frame, Request, WireInstance, WireTuning};
+use es_wire::{AlgoId, Frame, Request, WireInstance};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -39,7 +39,6 @@ fn sample_request(id: u64) -> Request {
         deadline_ms: 0,
         tenant: u32::try_from(id % 3).unwrap(),
         algo: AlgoId::ALL[(id as usize) % AlgoId::ALL.len()],
-        tuning: WireTuning::current_default(),
         instance: WireInstance {
             heterogeneous: id.is_multiple_of(2),
             processors: 3,

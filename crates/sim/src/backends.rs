@@ -10,8 +10,8 @@
 //! model's quantization + per-hop forwarding latency, which is exactly
 //! the realism gap the comparison quantifies.
 
-use crate::runner::parallel_map;
 use es_core::{validate, BbsaScheduler, LinkBackend, ListScheduler, Scheduler};
+use es_runner::parallel_map;
 use es_workload::{cell_seed, generate, InstanceConfig, Setting};
 
 /// Parameters of one backend-comparison run (a single workload cell
@@ -52,7 +52,7 @@ impl BackendCompareSpec {
             tasks,
             validate: true,
             backends: LinkBackend::all(),
-            threads: crate::Threads::resolve().get(),
+            threads: es_runner::Threads::resolve().get(),
         }
     }
 }

@@ -13,9 +13,9 @@
 //! * **Figure 2** (homogeneous) / **Figure 4** (heterogeneous): x-axis
 //!   processor count; each point averages over the CCR sweep.
 
-use crate::runner::parallel_map;
 use crate::stats::{improvement_percent, Summary};
 use es_core::{BbsaScheduler, ListScheduler, Scheduler};
+use es_runner::parallel_map;
 use es_workload::{ccr_values, cell_seed, generate, proc_counts, InstanceConfig, Setting};
 use serde::{Deserialize, Serialize};
 
@@ -192,7 +192,7 @@ pub struct FigureParams {
     /// CCR values to sweep (default: the paper's 19 values).
     pub ccrs: Vec<f64>,
     /// Worker threads for the cell sweep. The default is the one
-    /// resolved [`crate::runner::Threads`] config (`ES_THREADS`
+    /// resolved [`es_runner::Threads`] config (`ES_THREADS`
     /// override, else the CPU count); CLI flags may still override the
     /// resolved value explicitly.
     pub threads: usize,
@@ -213,7 +213,7 @@ impl Default for FigureParams {
             base_seed: 20060810, // ICPP 2006
             procs: proc_counts(),
             ccrs: ccr_values(),
-            threads: crate::runner::Threads::resolve().get(),
+            threads: es_runner::Threads::resolve().get(),
             validate: false,
             strong_baseline: false,
             progress: false,

@@ -8,10 +8,6 @@
 //!
 //! * [`stats`] — means, standard deviations, confidence intervals and
 //!   the improvement ratio;
-//! * [`runner`] — a work-stealing-ish parallel map over experiment
-//!   cells (std scoped threads draining a shared atomic work counter),
-//!   because a full paper sweep is thousands of independent
-//!   scheduling runs;
 //! * [`experiment`] — cell and figure definitions, execution, and the
 //!   text tables the CLI prints;
 //! * [`robustness`] — a fault-injection sweep (intensity × scheduler)
@@ -24,6 +20,9 @@
 //! * [`service`] — deterministic request-mix generation for the
 //!   es-serve driver's load generator and chaos harness (DESIGN.md
 //!   §13).
+//!
+//! A full paper sweep is thousands of independent scheduling runs; the
+//! modules fan them out with [`es_runner::parallel_map`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +32,6 @@ pub mod experiment;
 pub mod online;
 pub mod report;
 pub mod robustness;
-pub mod runner;
 pub mod service;
 pub mod stats;
 
@@ -48,6 +46,5 @@ pub use online::{
 pub use robustness::{
     run_robustness, run_robustness_backend, RobustnessCell, RobustnessSpec, ROBUSTNESS_SCHEDULERS,
 };
-pub use runner::{parallel_map, try_parallel_map, ItemPanic, Threads};
 pub use service::{ServiceMix, ServiceRequest, SERVICE_ALGOS};
 pub use stats::{improvement_percent, Summary};

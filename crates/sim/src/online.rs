@@ -15,13 +15,13 @@
 //! preserves input order).
 
 use crate::robustness::fault_seed;
-use crate::runner::parallel_map;
 use es_core::online::{
     arrival_script, run_online, Admission, ArrivalSpec, JobSpec, OnlineConfig, OnlineRun,
 };
 use es_core::{execute_with, repair, FaultPlan, FaultSpec, LinkBackend, ListScheduler};
 use es_net::gen::{random_switched_wan, WanConfig};
 use es_net::Topology;
+use es_runner::parallel_map;
 use es_workload::{cell_seed, Setting};
 use rand::{rngs::StdRng, SeedableRng};
 

@@ -17,8 +17,8 @@
 //! constant, so a sweep is reproducible bit for bit at any thread
 //! count (cells are independent; the runner preserves input order).
 
-use crate::runner::parallel_map;
 use es_core::{execute_with, repair, FaultPlan, FaultSpec, LinkBackend, ListScheduler, Scheduler};
+use es_runner::parallel_map;
 use es_workload::{cell_seed, generate, InstanceConfig, Setting};
 
 /// Parameters of one robustness sweep (one workload cell swept over
@@ -40,7 +40,7 @@ pub struct RobustnessSpec {
     /// Fault intensities to sweep, each in `[0, 1]`.
     pub intensities: Vec<f64>,
     /// Worker threads for the sweep. Callers should seed this from the
-    /// one resolved [`crate::runner::Threads`] config (`ES_THREADS`
+    /// one resolved [`es_runner::Threads`] config (`ES_THREADS`
     /// override, else the CPU count) rather than consulting
     /// `default_threads()` ad hoc; the CLI inherits it through
     /// [`crate::FigureParams::default`].

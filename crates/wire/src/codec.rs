@@ -18,11 +18,13 @@ pub const MAGIC: [u8; 6] = *b"ESWIRE";
 
 /// Current protocol version. v2 added `Request.tenant` and the
 /// per-tenant shed counters in `DriverStats`; v3 added a
-/// column-snapshot restore flag to the tuning; v4 dropped it again
-/// with the snapshot restore itself. Both sides of a stream must speak the same version
-/// (the preamble check rejects mixes; driver, workers and clients ship
-/// from one build).
-pub const PROTOCOL_VERSION: u16 = 4;
+/// column-snapshot restore flag to the request's tuning; v4 dropped it
+/// again with the snapshot restore itself; v5 dropped the tuning from
+/// `Request` altogether, so workers always schedule with the default
+/// tuning. Both sides of a stream must speak the same version (the
+/// preamble check rejects mixes; driver, workers and clients ship from
+/// one build).
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Hard ceiling on one frame's payload. A forged length prefix above
 /// this is rejected before allocation; the largest legitimate frames

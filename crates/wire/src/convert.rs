@@ -8,66 +8,22 @@
 //! the chaos invariant's bitwise-identity check.
 
 use crate::codec::WireError;
-use crate::frame::{
-    AlgoId, WireComm, WireHop, WireInstance, WireLanes, WirePiece, WireSchedule, WireTask,
-    WireTuning,
-};
+use crate::frame::{AlgoId, WireComm, WireHop, WireInstance, WirePiece, WireSchedule, WireTask};
 use es_core::schedule::{CommPlacement, Schedule, TaskPlacement};
-use es_core::{BbsaScheduler, ListConfig, ListScheduler, ProbeParallelism, Scheduler, Tuning};
+use es_core::{BbsaScheduler, ListScheduler, Scheduler};
 use es_linksched::{Flow, Piece};
 use es_net::{Hop, LinkId, NodeId, ProcId};
 use es_workload::{InstanceConfig, Setting};
 
 impl AlgoId {
-    /// Build the scheduler this id names, with `tuning` applied to
-    /// the slotted list schedulers (BBSA's fluid model has no slotted
-    /// tuning surface; the argument is ignored there).
-    pub fn build(self, tuning: Tuning) -> Box<dyn Scheduler + Send + Sync> {
-        let with = |mut cfg: ListConfig| {
-            cfg.tuning = tuning;
-            Box::new(ListScheduler::with_config(cfg)) as Box<dyn Scheduler + Send + Sync>
-        };
+    /// Build the preset this id names, with the default tuning.
+    pub fn build(self) -> Box<dyn Scheduler + Send + Sync> {
         match self {
-            AlgoId::BaStatic => with(ListConfig::ba_static()),
-            AlgoId::Ba => with(ListConfig::ba()),
-            AlgoId::Oihsa => with(ListConfig::oihsa()),
-            AlgoId::OihsaProbing => with(ListConfig::oihsa_probing()),
+            AlgoId::BaStatic => Box::new(ListScheduler::ba_static()),
+            AlgoId::Ba => Box::new(ListScheduler::ba()),
+            AlgoId::Oihsa => Box::new(ListScheduler::oihsa()),
+            AlgoId::OihsaProbing => Box::new(ListScheduler::oihsa_probing()),
             AlgoId::Bbsa => Box::new(BbsaScheduler::new()),
-        }
-    }
-}
-
-impl WireTuning {
-    /// The default tuning of this build, in wire form.
-    pub fn current_default() -> Self {
-        Self::from_tuning(Tuning::default())
-    }
-
-    /// Wire form of a [`Tuning`].
-    pub fn from_tuning(t: Tuning) -> Self {
-        Self {
-            route_cache: t.route_cache,
-            indexed_gaps: t.indexed_gaps,
-            lanes: match t.parallel_probe {
-                ProbeParallelism::Sequential => WireLanes::Sequential,
-                ProbeParallelism::Auto => WireLanes::Auto,
-                ProbeParallelism::Workers(n) => {
-                    WireLanes::Workers(u16::try_from(n.min(u16::MAX as usize)).expect("clamped"))
-                }
-            },
-        }
-    }
-
-    /// The [`Tuning`] this wire form names.
-    pub fn to_tuning(self) -> Tuning {
-        Tuning {
-            route_cache: self.route_cache,
-            indexed_gaps: self.indexed_gaps,
-            parallel_probe: match self.lanes {
-                WireLanes::Sequential => ProbeParallelism::Sequential,
-                WireLanes::Auto => ProbeParallelism::Auto,
-                WireLanes::Workers(n) => ProbeParallelism::Workers(n as usize),
-            },
         }
     }
 }
@@ -263,26 +219,11 @@ mod tests {
     }
 
     #[test]
-    fn tuning_roundtrips() {
-        for t in [
-            Tuning::optimized(),
-            Tuning::reference(),
-            Tuning {
-                route_cache: true,
-                indexed_gaps: false,
-                parallel_probe: ProbeParallelism::Workers(3),
-            },
-        ] {
-            assert_eq!(WireTuning::from_tuning(t).to_tuning(), t);
-        }
-    }
-
-    #[test]
     fn real_schedules_roundtrip_bitwise() {
         let inst = generate(&sample_config());
         for algo in AlgoId::ALL {
             let sched = algo
-                .build(Tuning::default())
+                .build()
                 .schedule(&inst.dag, &inst.topo)
                 .expect("connected WAN");
             let wire = WireSchedule::from_schedule(&sched);
@@ -323,12 +264,12 @@ mod tests {
     fn builders_name_their_algorithms() {
         let inst = generate(&sample_config());
         let s = AlgoId::Bbsa
-            .build(Tuning::default())
+            .build()
             .schedule(&inst.dag, &inst.topo)
             .unwrap();
         assert_eq!(s.algorithm, "BBSA");
         let s = AlgoId::BaStatic
-            .build(Tuning::reference())
+            .build()
             .schedule(&inst.dag, &inst.topo)
             .unwrap();
         assert_eq!(s.algorithm, "BA-static");

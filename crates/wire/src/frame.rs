@@ -79,67 +79,6 @@ impl AlgoId {
     }
 }
 
-/// Probe-parallelism request, mirroring `es_core::ProbeParallelism`
-/// without forcing a lane count into the wire format.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireLanes {
-    /// Sequential mutate-and-rollback probing.
-    Sequential,
-    /// Resolve lanes on the worker (`ES_THREADS` / CPU count).
-    Auto,
-    /// Exactly this many lanes.
-    Workers(u16),
-}
-
-/// Performance tuning travelling with a request. Bitwise-neutral by
-/// the PR 4/5 differential oracles, so any mix of tunings across the
-/// fleet still satisfies the chaos invariant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WireTuning {
-    /// Enable the §10 route/probe cache.
-    pub route_cache: bool,
-    /// Enable the indexed free-gap search.
-    pub indexed_gaps: bool,
-    /// Probe parallelism.
-    pub lanes: WireLanes,
-}
-
-impl WireTuning {
-    fn put(self, w: &mut ByteWriter) {
-        w.put_bool(self.route_cache);
-        w.put_bool(self.indexed_gaps);
-        match self.lanes {
-            WireLanes::Sequential => w.put_u8(0),
-            WireLanes::Auto => w.put_u8(1),
-            WireLanes::Workers(n) => {
-                w.put_u8(2);
-                w.put_u16(n);
-            }
-        }
-    }
-
-    fn get(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        let route_cache = r.get_bool("tuning.route_cache")?;
-        let indexed_gaps = r.get_bool("tuning.indexed_gaps")?;
-        let lanes = match r.get_u8()? {
-            0 => WireLanes::Sequential,
-            1 => WireLanes::Auto,
-            2 => WireLanes::Workers(r.get_u16()?),
-            tag => {
-                return Err(WireError::UnknownEnumTag {
-                    what: "WireLanes",
-                    tag,
-                })
-            }
-        };
-        Ok(Self {
-            route_cache,
-            indexed_gaps,
-            lanes,
-        })
-    }
-}
-
 /// A workload instance in spec form: the deterministic generator
 /// coordinates, not the expanded DAG/topology. Workers regenerate the
 /// instance with `es_workload::generate`, which is seeded and
@@ -246,8 +185,6 @@ pub struct Request {
     pub tenant: u32,
     /// Algorithm to run.
     pub algo: AlgoId,
-    /// Performance tuning (bitwise-neutral).
-    pub tuning: WireTuning,
     /// The instance spec.
     pub instance: WireInstance,
     /// Optional fault-and-repair leg.
@@ -260,7 +197,6 @@ impl Request {
         w.put_u32(self.deadline_ms);
         w.put_u32(self.tenant);
         w.put_u8(self.algo.tag());
-        self.tuning.put(w);
         self.instance.put(w);
         match self.fault {
             None => w.put_u8(0),
@@ -276,7 +212,6 @@ impl Request {
         let deadline_ms = r.get_u32()?;
         let tenant = r.get_u32()?;
         let algo = AlgoId::from_tag(r.get_u8()?)?;
-        let tuning = WireTuning::get(r)?;
         let instance = WireInstance::get(r)?;
         let fault = match r.get_u8()? {
             0 => None,
@@ -293,7 +228,6 @@ impl Request {
             deadline_ms,
             tenant,
             algo,
-            tuning,
             instance,
             fault,
         })
@@ -953,11 +887,6 @@ mod tests {
             deadline_ms: 5000,
             tenant: 7,
             algo: AlgoId::Oihsa,
-            tuning: WireTuning {
-                route_cache: true,
-                indexed_gaps: true,
-                lanes: WireLanes::Workers(2),
-            },
             instance: WireInstance {
                 heterogeneous: true,
                 processors: 8,
@@ -1105,16 +1034,19 @@ mod tests {
             read_preamble(&mut cur),
             Err(WireError::UnsupportedVersion(9))
         );
-        // v3 streams still carry the dropped snapshot-restore tuning
-        // byte; they are refused at the preamble, never mis-decoded.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&3u16.to_le_bytes());
-        let mut cur = std::io::Cursor::new(buf);
-        assert_eq!(
-            read_preamble(&mut cur),
-            Err(WireError::UnsupportedVersion(3))
-        );
+        // v3 streams carry the dropped snapshot-restore tuning byte and
+        // v4 streams the dropped tuning fields; both are refused at the
+        // preamble, never mis-decoded.
+        for old in [3u16, 4] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(&MAGIC);
+            buf.extend_from_slice(&old.to_le_bytes());
+            let mut cur = std::io::Cursor::new(buf);
+            assert_eq!(
+                read_preamble(&mut cur),
+                Err(WireError::UnsupportedVersion(old))
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # es-wire — the es-serve driver/worker wire format (es-wire-v1)
 //!
 //! A compact, versioned, binary protocol carrying scheduling requests
-//! (instance specs + tuning), schedules, diagnostics, heartbeats and
+//! (algorithm + instance spec), schedules, diagnostics, heartbeats and
 //! service-control frames between the es-serve driver, its worker
 //! processes and its clients (DESIGN.md §13).
 //!
@@ -38,8 +38,8 @@ pub mod frame;
 pub use codec::{ByteReader, ByteWriter, WireError, MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use frame::{
     read_frame, read_preamble, write_frame, write_preamble, AlgoId, DriverStats, Frame,
-    RejectReason, Request, ScheduleReply, WireComm, WireFault, WireHop, WireInstance, WireLanes,
-    WirePiece, WireSchedule, WireTask, WireTuning,
+    RejectReason, Request, ScheduleReply, WireComm, WireFault, WireHop, WireInstance, WirePiece,
+    WireSchedule, WireTask,
 };
 
 // The driver moves these across threads and worker boundaries; keep

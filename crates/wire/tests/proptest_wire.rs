@@ -15,7 +15,7 @@
 use es_wire::{
     read_frame, read_preamble, write_frame, write_preamble, AlgoId, DriverStats, Frame,
     RejectReason, Request, ScheduleReply, WireComm, WireError, WireFault, WireHop, WireInstance,
-    WireLanes, WirePiece, WireSchedule, WireTask, WireTuning,
+    WirePiece, WireSchedule, WireTask,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -28,25 +28,12 @@ fn arb_string(rng: &mut StdRng) -> String {
         .collect()
 }
 
-fn arb_tuning(rng: &mut StdRng) -> WireTuning {
-    WireTuning {
-        route_cache: rng.random_bool(0.5),
-        indexed_gaps: rng.random_bool(0.5),
-        lanes: match rng.random_range(0..3u8) {
-            0 => WireLanes::Sequential,
-            1 => WireLanes::Auto,
-            _ => WireLanes::Workers(rng.random_range(0..16u16)),
-        },
-    }
-}
-
 fn arb_request(rng: &mut StdRng) -> Request {
     Request {
         id: rng.random_range(0..u64::MAX),
         deadline_ms: rng.random_range(0..100_000u32),
         tenant: rng.random_range(0..u32::MAX),
         algo: AlgoId::ALL[rng.random_range(0..AlgoId::ALL.len())],
-        tuning: arb_tuning(rng),
         instance: WireInstance {
             heterogeneous: rng.random_bool(0.5),
             processors: rng.random_range(1..256u32),

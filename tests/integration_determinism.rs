@@ -2,7 +2,8 @@
 //! parallel experiment runner — must be bit-reproducible from seeds.
 
 use es_core::{BbsaScheduler, ListScheduler, Scheduler};
-use es_sim::{parallel_map, run_cell, CellSpec};
+use es_runner::parallel_map;
+use es_sim::{run_cell, CellSpec};
 use es_workload::{generate, InstanceConfig, Setting};
 
 #[test]
