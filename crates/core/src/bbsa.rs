@@ -16,11 +16,10 @@
 //! the routing metric probed against the bandwidth profiles. This
 //! interpretation is recorded in DESIGN.md.
 
-use crate::procsched::ProcState;
+use crate::procsched::{keep_better, pick_hybrid, ready_time, ProcState};
 use crate::schedule::{CommPlacement, SchedError, Schedule, Scheduler, TaskPlacement};
 use es_dag::{priority_list, EdgeId, Priority, TaskGraph, TaskId};
 use es_linksched::bandwidth::{ArrivalCurve, Flow, RateProfile};
-use es_linksched::time::EPS;
 use es_linksched::CommId;
 use es_net::{Hop, ProcId, Topology};
 use es_route::{bfs_route, dijkstra_route, Route};
@@ -112,6 +111,8 @@ impl Scheduler for BbsaScheduler {
             comm_routes: vec![Vec::new(); dag.edge_count()],
             comm_flows: vec![Vec::new(); dag.edge_count()],
             mls: topo.mean_link_speed(),
+            edge_costs: Vec::new(),
+            edge_idx: Vec::new(),
         };
         run.run()
     }
@@ -127,6 +128,10 @@ struct BbsaRun<'a> {
     comm_routes: Vec<Route>,
     comm_flows: Vec<Vec<Flow>>,
     mls: f64,
+    /// In-edge ordering scratch, reused across tasks and candidates
+    /// (clear-don't-drop).
+    edge_costs: Vec<f64>,
+    edge_idx: Vec<usize>,
 }
 
 /// Dijkstra state while routing a fluid transfer: either still at the
@@ -152,7 +157,17 @@ impl BbsaRun<'_> {
         for &task in &order {
             let proc = match self.cfg.proc_selection {
                 ProcSelection::EarliestFinishProbe => self.pick_by_probe(task)?,
-                ProcSelection::HybridStatic => self.pick_by_hybrid_criterion(task),
+                ProcSelection::HybridStatic => pick_hybrid(
+                    self.dag,
+                    self.topo,
+                    &self.procs,
+                    &self.placed,
+                    self.mls,
+                    0.0,
+                    task,
+                    self.topo.proc_ids(),
+                )
+                .expect("at least one processor"),
             };
             let data_ready = self.schedule_in_edges(task, proc)?;
             let (start, finish) =
@@ -172,15 +187,13 @@ impl BbsaRun<'_> {
     /// bandwidth reservations back exactly, keep the best processor.
     fn pick_by_probe(&mut self, task: TaskId) -> Result<ProcId, SchedError> {
         let weight = self.dag.weight(task);
-        let mut best: Option<(ProcId, f64)> = None;
+        let mut best = None;
         for p in self.topo.proc_ids() {
             let data_ready = self.schedule_in_edges(task, p)?;
             let start = self.procs.earliest_start(p, data_ready);
             let finish = start + weight / self.topo.proc_speed(p);
             self.rollback_in_edges(task, p);
-            if best.is_none_or(|(_, bf)| finish < bf - EPS) {
-                best = Some((p, finish));
-            }
+            keep_better(&mut best, p, finish);
         }
         Ok(best.expect("at least one processor").0)
     }
@@ -199,54 +212,30 @@ impl BbsaRun<'_> {
         }
     }
 
-    /// OIHSA §4.1 criterion, shared verbatim with the slotted path.
-    // TWIN(hybrid-criterion): begin
-    fn pick_by_hybrid_criterion(&self, task: TaskId) -> ProcId {
-        let weight = self.dag.weight(task);
-        let mut best: Option<(ProcId, f64)> = None;
-        for p in self.topo.proc_ids() {
-            let mut comm_part = 0.0_f64; // TWIN-OK: fluid path is offline-only, floor is always zero
-            for &e in self.dag.in_edges(task) {
-                let edge = self.dag.edge(e);
-                let src = self.placed[edge.src.index()].expect("placed");
-                let est = if src.proc == p {
-                    src.finish
-                } else {
-                    src.finish + edge.cost / self.mls
-                };
-                comm_part = comm_part.max(est);
-            }
-            let start = comm_part.max(self.procs.finish_time(p));
-            let value = start + weight / self.topo.proc_speed(p);
-            if best.is_none_or(|(_, bv)| value < bv - EPS) {
-                best = Some((p, value));
-            }
-        }
-        best.expect("at least one processor").0
-    }
-    // TWIN(hybrid-criterion): end
-
+    /// Fluidly schedule `task`'s in-edges to `p` in the configured
+    /// order; returns the data-ready time.
     fn schedule_in_edges(&mut self, task: TaskId, p: ProcId) -> Result<f64, SchedError> {
-        let in_edges = self.dag.in_edges(task);
-        let costs: Vec<f64> = in_edges.iter().map(|&e| self.dag.cost(e)).collect();
-        let ready_time = match self.cfg.edge_est {
+        let dag = self.dag;
+        let in_edges = dag.in_edges(task);
+        self.edge_costs.clear();
+        self.edge_costs
+            .extend(in_edges.iter().map(|&e| dag.cost(e)));
+        self.cfg
+            .edge_order
+            .order_into(&self.edge_costs, &mut self.edge_idx);
+        let ready = match self.cfg.edge_est {
             EdgeEst::SourceFinish => None,
-            EdgeEst::ReadyTime => Some(
-                self.dag
-                    .predecessors(task)
-                    .map(|s| self.placed[s.index()].expect("placed").finish)
-                    .fold(0.0_f64, f64::max),
-            ),
+            EdgeEst::ReadyTime => Some(ready_time(dag, &self.placed, task)),
         };
         let mut data_ready = 0.0_f64;
-        for i in self.cfg.edge_order.order(&costs) {
-            let e = in_edges[i];
-            let edge = self.dag.edge(e);
+        for k in 0..self.edge_idx.len() {
+            let e = in_edges[self.edge_idx[k]];
+            let edge = dag.edge(e);
             let src = self.placed[edge.src.index()].expect("placed");
             let arrival = if src.proc == p {
                 src.finish
             } else {
-                let est = ready_time.unwrap_or(src.finish);
+                let est = ready.unwrap_or(src.finish);
                 self.schedule_comm(e, est, edge.cost, src.proc, p)?
             };
             data_ready = data_ready.max(arrival);
@@ -380,6 +369,7 @@ mod tests {
     use super::*;
     use es_dag::gen::structured::{chain, fork_join};
     use es_dag::TaskGraphBuilder;
+    use es_linksched::time::EPS;
     use es_net::gen::{self, SpeedDist};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

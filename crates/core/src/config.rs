@@ -22,16 +22,9 @@ pub enum EdgeOrder {
 }
 
 impl EdgeOrder {
-    /// Sort edge indices `0..n` of equal-priority in-edges.
-    pub fn order(self, costs: &[f64]) -> Vec<usize> {
-        let mut idx = Vec::new();
-        self.order_into(costs, &mut idx);
-        idx
-    }
-
-    /// [`EdgeOrder::order`] into a caller-owned buffer (the probe loop
-    /// orders the same in-edges once per processor candidate; reusing
-    /// the buffer removes the per-candidate allocations).
+    /// Sort the indices `0..costs.len()` of a task's in-edges into this
+    /// order, ties by index, into a caller-owned buffer (cleared first;
+    /// schedulers reuse it across tasks and candidates).
     pub fn order_into(self, costs: &[f64], idx: &mut Vec<usize>) {
         idx.clear();
         idx.extend(0..costs.len());
@@ -347,29 +340,32 @@ impl ListConfig {
 mod tests {
     use super::*;
 
+    fn order(o: EdgeOrder, costs: &[f64]) -> Vec<usize> {
+        let mut idx = Vec::new();
+        o.order_into(costs, &mut idx);
+        idx
+    }
+
     #[test]
     fn edge_order_arrival_is_identity() {
-        let costs = [5.0, 1.0, 3.0];
-        assert_eq!(EdgeOrder::Arrival.order(&costs), vec![0, 1, 2]);
+        assert_eq!(order(EdgeOrder::Arrival, &[5.0, 1.0, 3.0]), vec![0, 1, 2]);
     }
 
     #[test]
     fn edge_order_cost_desc() {
-        let costs = [5.0, 1.0, 3.0];
-        assert_eq!(EdgeOrder::CostDesc.order(&costs), vec![0, 2, 1]);
+        assert_eq!(order(EdgeOrder::CostDesc, &[5.0, 1.0, 3.0]), vec![0, 2, 1]);
     }
 
     #[test]
     fn edge_order_cost_asc() {
-        let costs = [5.0, 1.0, 3.0];
-        assert_eq!(EdgeOrder::CostAsc.order(&costs), vec![1, 2, 0]);
+        assert_eq!(order(EdgeOrder::CostAsc, &[5.0, 1.0, 3.0]), vec![1, 2, 0]);
     }
 
     #[test]
     fn edge_order_ties_break_by_index() {
         let costs = [2.0, 2.0, 2.0];
-        assert_eq!(EdgeOrder::CostDesc.order(&costs), vec![0, 1, 2]);
-        assert_eq!(EdgeOrder::CostAsc.order(&costs), vec![0, 1, 2]);
+        assert_eq!(order(EdgeOrder::CostDesc, &costs), vec![0, 1, 2]);
+        assert_eq!(order(EdgeOrder::CostAsc, &costs), vec![0, 1, 2]);
     }
 
     #[test]

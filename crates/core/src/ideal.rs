@@ -12,10 +12,9 @@
 //! `c(e) / MLS` with `MLS` the topology's mean link speed (the same
 //! normalisation OIHSA's §4.1 criterion uses).
 
-use crate::procsched::ProcState;
+use crate::procsched::{keep_better, ProcState};
 use crate::schedule::{CommPlacement, SchedError, Schedule, Scheduler, TaskPlacement};
 use es_dag::{priority_list, Priority, TaskGraph};
-use es_linksched::time::EPS;
 use es_net::Topology;
 
 /// Classic-model (contention-unaware) list scheduler.
@@ -47,7 +46,7 @@ impl Scheduler for IdealScheduler {
             // Earliest finish over all processors under free concurrent
             // communication.
             let weight = dag.weight(task);
-            let mut best: Option<(es_net::ProcId, f64, f64)> = None;
+            let mut best = None;
             for p in topo.proc_ids() {
                 let mut dr = 0.0_f64;
                 for &e in dag.in_edges(task) {
@@ -62,11 +61,9 @@ impl Scheduler for IdealScheduler {
                 }
                 let start = procs.earliest_start(p, dr);
                 let finish = start + weight / topo.proc_speed(p);
-                if best.is_none_or(|(_, _, bf)| finish < bf - EPS) {
-                    best = Some((p, dr, finish));
-                }
+                keep_better(&mut best, (p, dr), finish);
             }
-            let (p, dr, _) = best.expect("at least one processor");
+            let ((p, dr), _) = best.expect("at least one processor");
             let (start, finish) = procs.place(topo, p, dr, weight);
             placed[task.index()] = Some(TaskPlacement {
                 proc: p,
@@ -107,6 +104,7 @@ mod tests {
     use super::*;
     use es_dag::gen::structured::fork_join;
     use es_dag::TaskGraphBuilder;
+    use es_linksched::time::EPS;
     use es_net::gen::{self, SpeedDist};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -16,12 +16,11 @@
 //! * **routing** (§4.3) — BFS minimal or modified Dijkstra;
 //! * **insertion** (§4.4) — basic or optimal.
 
-use crate::config::{Insertion, ListConfig, ProcSelection};
-use crate::procsched::ProcState;
+use crate::config::{EdgeEst, Insertion, ListConfig, ProcSelection};
+use crate::procsched::{keep_better, pick_hybrid, ready_time, ProcState};
 use crate::schedule::{CommPlacement, SchedError, Schedule, Scheduler, TaskPlacement};
 use crate::slotted::{OverlayState, ProbeWorkspace, SlottedState};
-use es_dag::{priority_list, EdgeId, TaskGraph, TaskId};
-use es_linksched::time::EPS;
+use es_dag::{priority_list, TaskGraph, TaskId};
 use es_linksched::CommId;
 use es_net::{ProcId, Topology};
 use es_runner::WorkerPool;
@@ -113,11 +112,12 @@ pub(crate) fn schedule_onto(
     Run::new(cfg, dag, topo, procs, links, comm_base, floor)?.run()
 }
 
-/// One remote-or-local in-edge of the task being probed, precomputed
-/// once per task — every field is candidate-independent, so all worker
-/// lanes probe from the same immutable list.
+/// One remote-or-local in-edge of the task being placed, precomputed
+/// once per task — every field is candidate-independent, so the probe
+/// of every candidate (on every worker lane) and the final commit walk
+/// the same immutable list.
 #[derive(Clone, Copy, Debug)]
-struct ProbeEdge {
+struct InEdge {
     comm: CommId,
     /// Earliest start on the links (ready time or source finish, per
     /// [`crate::config::EdgeEst`]).
@@ -141,12 +141,13 @@ struct Run<'a> {
     comm_base: u64,
     /// Dispatch instant: lower bound on every start time of this run.
     floor: f64,
-    /// Scratch buffers for the in-edge ordering, reused across the
-    /// probe loop's candidates (allocation hoisting; no behavioural
-    /// effect).
+    /// Scratch buffers for the in-edge ordering, reused across tasks
+    /// (allocation hoisting; no behavioural effect).
     edge_costs: Vec<f64>,
     edge_idx: Vec<usize>,
-    ordered_edges: Vec<EdgeId>,
+    /// The current task's in-edges in scheduling order
+    /// ([`Run::prepare_in_edges`]; clear-don't-drop).
+    in_edges: Vec<InEdge>,
     /// Speculative-probe machinery (DESIGN.md §11), built only when
     /// [`crate::config::ProbeParallelism`] selects the overlay path for
     /// an earliest-finish-probe scheduler. The pool persists across all
@@ -154,7 +155,6 @@ struct Run<'a> {
     probe_pool: Option<WorkerPool>,
     probe_lanes: Vec<Mutex<ProbeWorkspace>>,
     /// Reused per-task buffers for the batch probe (clear-don't-drop).
-    probe_edges: Vec<ProbeEdge>,
     probe_candidates: Vec<ProcId>,
     probe_results: Vec<Mutex<Option<Result<f64, SchedError>>>>,
     /// Names the current probe cycle so lanes invalidate their
@@ -198,10 +198,9 @@ impl<'a> Run<'a> {
             floor,
             edge_costs: Vec::new(),
             edge_idx: Vec::new(),
-            ordered_edges: Vec::new(),
+            in_edges: Vec::new(),
             probe_pool,
             probe_lanes,
-            probe_edges: Vec::new(),
             probe_candidates: Vec::new(),
             probe_results: Vec::new(),
             probe_serial: 0,
@@ -211,108 +210,57 @@ impl<'a> Run<'a> {
     fn run(mut self) -> Result<Schedule, SchedError> {
         let order = priority_list(self.dag, self.cfg.priority);
         for &task in &order {
+            self.prepare_in_edges(task);
             let proc = match self.cfg.proc_selection {
                 ProcSelection::EarliestFinishProbe => self.pick_by_probe(task)?,
-                ProcSelection::HybridStatic => self.pick_by_hybrid_criterion(task),
+                ProcSelection::HybridStatic => pick_hybrid(
+                    self.dag,
+                    self.topo,
+                    self.procs,
+                    &self.placed,
+                    self.mls,
+                    self.floor,
+                    task,
+                    self.topo.proc_ids(),
+                )
+                .expect("at least one processor"),
             };
             self.commit_task(task, proc, self.cfg.insertion)?;
         }
         self.finish()
     }
 
-    /// This run's [`CommId`] for DAG edge `e` (offset into the job's
-    /// id block).
-    fn comm(&self, e: EdgeId) -> CommId {
-        CommId(self.comm_base + u64::from(e.0))
-    }
-
-    /// Fill `self.ordered_edges` with `task`'s in-edge ids in the
-    /// configured scheduling order (buffers reused across candidates).
+    /// Fill `self.edge_idx` with the positions of `task`'s in-edges in
+    /// the configured scheduling order (§4.2).
     fn order_in_edges(&mut self, task: TaskId) {
-        let in_edges = self.dag.in_edges(task);
         self.edge_costs.clear();
         self.edge_costs
-            .extend(in_edges.iter().map(|&e| self.dag.cost(e)));
+            .extend(self.dag.in_edges(task).iter().map(|&e| self.dag.cost(e)));
         self.cfg
             .edge_order
             .order_into(&self.edge_costs, &mut self.edge_idx);
-        self.ordered_edges.clear();
-        self.ordered_edges
-            .extend(self.edge_idx.iter().map(|&i| in_edges[i]));
     }
 
-    /// Schedule all remote in-edges of `task` to processor `p` and
-    /// return the data-ready time. `insertion` is explicit because BA's
-    /// probe must be exactly reversible (always basic insertion).
-    fn schedule_in_edges(
-        &mut self,
-        task: TaskId,
-        p: ProcId,
-        insertion: Insertion,
-    ) -> Result<f64, SchedError> {
-        // In the dynamic model a communication is requested only when
-        // the task becomes ready: every in-edge's earliest start is the
-        // latest predecessor finish (§4.1/§4.2).
-        let ready_time = match self.cfg.edge_est {
-            crate::config::EdgeEst::SourceFinish => None,
-            crate::config::EdgeEst::ReadyTime => Some(
-                self.dag
-                    .predecessors(task)
-                    .map(|s| self.placed[s.index()].expect("placed").finish)
-                    .fold(0.0_f64, f64::max),
-            ),
-        };
-        let mut data_ready = self.floor;
-        self.order_in_edges(task);
-        for k in 0..self.ordered_edges.len() {
-            let e = self.ordered_edges[k];
-            let edge = self.dag.edge(e);
-            let src = self.placed[edge.src.index()].expect("predecessors are placed first");
-            let arrival = if src.proc == p {
-                src.finish
-            } else {
-                let est = ready_time.unwrap_or(src.finish);
-                self.links.schedule_comm(
-                    self.topo,
-                    self.comm(e),
-                    est,
-                    edge.cost,
-                    src.proc,
-                    p,
-                    self.cfg.routing,
-                    insertion,
-                    self.cfg.switching,
-                )?
-            };
-            data_ready = data_ready.max(arrival);
-        }
-        Ok(data_ready)
-    }
-
-    /// Precompute `task`'s in-edge probe list once per task: every
-    /// [`ProbeEdge`] field is candidate-independent, so all overlay
-    /// lanes walk the same immutable list for every candidate instead
-    /// of re-deriving the edge order and ESTs per processor. Mirrors
-    /// [`Run::schedule_in_edges`] exactly (same edge order, same ESTs).
-    fn prepare_probe_edges(&mut self, task: TaskId) {
-        let ready_time = match self.cfg.edge_est {
-            crate::config::EdgeEst::SourceFinish => None,
-            crate::config::EdgeEst::ReadyTime => Some(
-                self.dag
-                    .predecessors(task)
-                    .map(|s| self.placed[s.index()].expect("placed").finish)
-                    .fold(0.0_f64, f64::max),
-            ),
+    /// Derive `task`'s in-edge list once per task, in scheduling order
+    /// and with each edge's earliest start on the links: the ready time
+    /// or the source's finish, per [`EdgeEst`]. Every field is
+    /// candidate-independent, so the probe of every candidate and the
+    /// final commit walk this one list.
+    fn prepare_in_edges(&mut self, task: TaskId) {
+        let ready = match self.cfg.edge_est {
+            EdgeEst::SourceFinish => None,
+            EdgeEst::ReadyTime => Some(ready_time(self.dag, &self.placed, task)),
         };
         self.order_in_edges(task);
-        self.probe_edges.clear();
-        for k in 0..self.ordered_edges.len() {
-            let e = self.ordered_edges[k];
+        let dag_edges = self.dag.in_edges(task);
+        self.in_edges.clear();
+        for k in 0..self.edge_idx.len() {
+            let e = dag_edges[self.edge_idx[k]];
             let edge = self.dag.edge(e);
             let src = self.placed[edge.src.index()].expect("predecessors are placed first");
-            self.probe_edges.push(ProbeEdge {
-                comm: self.comm(e),
-                est: ready_time.unwrap_or(src.finish),
+            self.in_edges.push(InEdge {
+                comm: CommId(self.comm_base + u64::from(e.0)),
+                est: ready.unwrap_or(src.finish),
                 cost: edge.cost,
                 src_proc: src.proc,
                 src_finish: src.finish,
@@ -320,10 +268,32 @@ impl<'a> Run<'a> {
         }
     }
 
+    /// Schedule the prepared in-edges onto processor `p` on the
+    /// committed links and return the data-ready time. `insertion` is
+    /// explicit because the reference probe must be exactly reversible
+    /// (always basic insertion).
+    fn schedule_in_edges(&mut self, p: ProcId, insertion: Insertion) -> Result<f64, SchedError> {
+        let (topo, routing, switching) = (self.topo, self.cfg.routing, self.cfg.switching);
+        let links = &mut *self.links;
+        walk_in_edges(&self.in_edges, p, self.floor, |pe| {
+            links.schedule_comm(
+                topo,
+                pe.comm,
+                pe.est,
+                pe.cost,
+                pe.src_proc,
+                p,
+                routing,
+                insertion,
+                switching,
+            )
+        })
+    }
+
     /// BA's processor choice: earliest task finish over all processors,
-    /// probed by tentatively scheduling the communications. Production
-    /// tunings take the overlay path at every lane count; only
-    /// [`crate::config::ProbeParallelism::Sequential`] takes the
+    /// probed by tentatively scheduling the prepared in-edges.
+    /// Production tunings take the overlay path at every lane count;
+    /// only [`crate::config::ProbeParallelism::Sequential`] takes the
     /// reference path. Both are bitwise identical (the differential
     /// oracle enforces it).
     fn pick_by_probe(&mut self, task: TaskId) -> Result<ProcId, SchedError> {
@@ -349,16 +319,14 @@ impl<'a> Run<'a> {
             .iter()
             .map(es_linksched::SlotQueue::content_digest)
             .collect();
-        let mut best: Option<(ProcId, f64)> = None;
+        let mut best = None;
         for p in self.topo.proc_ids() {
-            let data_ready = self.schedule_in_edges(task, p, Insertion::Basic)?;
+            let data_ready = self.schedule_in_edges(p, Insertion::Basic)?;
             let start = self.procs.earliest_start(p, data_ready);
             let finish = start + weight / self.topo.proc_speed(p);
-            for k in 0..self.ordered_edges.len() {
-                let e = self.ordered_edges[k];
-                let src = self.dag.edge(e).src;
-                if self.placed[src.index()].expect("placed").proc != p {
-                    self.links.unschedule(self.comm(e));
+            for pe in &self.in_edges {
+                if pe.src_proc != p {
+                    self.links.unschedule(pe.comm);
                 }
             }
             #[cfg(debug_assertions)]
@@ -370,11 +338,7 @@ impl<'a> Run<'a> {
                     .eq(before.iter().copied()),
                 "probe rollback left the link queues changed"
             );
-            // TWIN(probe-tie-break): begin
-            if best.is_none_or(|(_, bf)| finish < bf - EPS) {
-                best = Some((p, finish)); // TWIN-OK: serial keeps the loop binding as the candidate id
-            }
-            // TWIN(probe-tie-break): end
+            keep_better(&mut best, p, finish);
         }
         Ok(best.expect("at least one processor").0)
     }
@@ -391,7 +355,6 @@ impl<'a> Run<'a> {
     /// [`Run::pick_by_probe_serial`].
     fn pick_by_probe_overlay(&mut self, task: TaskId) -> Result<ProcId, SchedError> {
         let weight = self.dag.weight(task);
-        self.prepare_probe_edges(task);
         self.probe_candidates.clear();
         self.probe_candidates.extend(self.topo.proc_ids());
         let n = self.probe_candidates.len();
@@ -410,7 +373,7 @@ impl<'a> Run<'a> {
         let serial = self.probe_serial;
         let topo = self.topo;
         let procs = &self.procs;
-        let edges = &self.probe_edges;
+        let edges = &self.in_edges;
         let candidates = &self.probe_candidates;
         let results = &self.probe_results;
         let lanes_ws = &self.probe_lanes;
@@ -422,34 +385,21 @@ impl<'a> Run<'a> {
             let mut ws = lanes_ws[lane].lock().expect("probe workspace lock");
             ws.begin_candidate(serial);
             let mut ov = OverlayState::new(base, tuning, &mut ws);
-            let mut out: Result<f64, SchedError> = Ok(0.0);
-            let mut data_ready = floor;
-            for pe in edges {
-                let arrival = if pe.src_proc == p {
-                    pe.src_finish
-                } else {
-                    // Probes always use basic insertion, exactly like
-                    // the sequential reference probe.
-                    match ov.schedule_comm(
-                        topo,
-                        pe.comm,
-                        pe.est,
-                        pe.cost,
-                        pe.src_proc,
-                        p,
-                        routing,
-                        switching,
-                    ) {
-                        Ok(a) => a,
-                        Err(e) => {
-                            out = Err(e);
-                            break;
-                        }
-                    }
-                };
-                data_ready = data_ready.max(arrival);
-            }
-            let out = out.map(|_| {
+            // Probes always use basic insertion, exactly like the
+            // sequential reference probe.
+            let out = walk_in_edges(edges, p, floor, |pe| {
+                ov.schedule_comm(
+                    topo,
+                    pe.comm,
+                    pe.est,
+                    pe.cost,
+                    pe.src_proc,
+                    p,
+                    routing,
+                    switching,
+                )
+            })
+            .map(|data_ready| {
                 let start = procs.earliest_start(p, data_ready);
                 start + weight / topo.proc_speed(p)
             });
@@ -461,57 +411,27 @@ impl<'a> Run<'a> {
             .run(n, &job);
 
         // Deterministic reduction in ascending processor-id order.
-        let mut best: Option<(ProcId, f64)> = None;
+        let mut best = None;
         for i in 0..n {
             let finish = self.probe_results[i]
                 .lock()
                 .expect("probe result lock")
                 .take()
                 .expect("worker filled every slot")?;
-            // TWIN(probe-tie-break): begin
-            if best.is_none_or(|(_, bf)| finish < bf - EPS) {
-                best = Some((self.probe_candidates[i], finish)); // TWIN-OK: reduction reads the candidate id from the indexed slot
-            }
-            // TWIN(probe-tie-break): end
+            keep_better(&mut best, self.probe_candidates[i], finish);
         }
         Ok(best.expect("at least one processor").0)
     }
 
-    /// OIHSA §4.1: hybrid static criterion with mean link speed.
-    // TWIN(hybrid-criterion): begin
-    fn pick_by_hybrid_criterion(&self, task: TaskId) -> ProcId {
-        let weight = self.dag.weight(task);
-        let mut best: Option<(ProcId, f64)> = None;
-        for p in self.topo.proc_ids() {
-            let mut comm_part = self.floor; // TWIN-OK: slotted path seeds the online dispatch floor
-            for &e in self.dag.in_edges(task) {
-                let edge = self.dag.edge(e);
-                let src = self.placed[edge.src.index()].expect("placed");
-                let est = if src.proc == p {
-                    src.finish
-                } else {
-                    src.finish + edge.cost / self.mls
-                };
-                comm_part = comm_part.max(est);
-            }
-            let start = comm_part.max(self.procs.finish_time(p));
-            let value = start + weight / self.topo.proc_speed(p);
-            if best.is_none_or(|(_, bv)| value < bv - EPS) {
-                best = Some((p, value));
-            }
-        }
-        best.expect("at least one processor").0
-    }
-    // TWIN(hybrid-criterion): end
-
-    /// Definitively schedule `task` on `proc`.
+    /// Definitively schedule `task`, whose in-edges are prepared, on
+    /// `proc`.
     fn commit_task(
         &mut self,
         task: TaskId,
         proc: ProcId,
         insertion: Insertion,
     ) -> Result<(), SchedError> {
-        let data_ready = self.schedule_in_edges(task, proc, insertion)?;
+        let data_ready = self.schedule_in_edges(proc, insertion)?;
         let (start, finish) = self
             .procs
             .place(self.topo, proc, data_ready, self.dag.weight(task));
@@ -557,12 +477,34 @@ impl<'a> Run<'a> {
     }
 }
 
+/// The data-ready time of a task on `p`: the latest of `floor` and
+/// every in-edge's arrival — the source's finish for a local edge, what
+/// `send` returns for a remote one. Stops at the first `send` error.
+fn walk_in_edges(
+    edges: &[InEdge],
+    p: ProcId,
+    floor: f64,
+    mut send: impl FnMut(&InEdge) -> Result<f64, SchedError>,
+) -> Result<f64, SchedError> {
+    let mut data_ready = floor;
+    for pe in edges {
+        let arrival = if pe.src_proc == p {
+            pe.src_finish
+        } else {
+            send(pe)?
+        };
+        data_ready = data_ready.max(arrival);
+    }
+    Ok(data_ready)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{EdgeOrder, Routing};
     use es_dag::gen::structured::{chain, fork_join};
     use es_dag::TaskGraphBuilder;
+    use es_linksched::time::EPS;
     use es_net::gen::{self, SpeedDist};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -44,7 +44,7 @@
 use crate::config::{EdgeOrder, Insertion, Routing, Switching, Tuning};
 use crate::diag::Report;
 use crate::exec::FaultPlan;
-use crate::procsched::ProcState;
+use crate::procsched::{pick_hybrid, ready_time, ProcState};
 use crate::schedule::{CommPlacement, SchedError, Schedule, TaskPlacement};
 use crate::slotted::SlottedState;
 use crate::validate::audit;
@@ -315,15 +315,24 @@ fn rebuild(
     for &task in &priority_list(dag, Priority::BottomLevel) {
         let proc = match pinned[task.index()] {
             Some(p) => p,
-            None => pick_target(dag, masked, &procs, &placed, usable, mls, task)?,
+            // OIHSA's §4.1 criterion over the usable processors, with
+            // the surviving MLS.
+            None => pick_hybrid(
+                dag,
+                masked,
+                &procs,
+                &placed,
+                mls,
+                0.0,
+                task,
+                masked.proc_ids().filter(|&p| usable[p.index()]),
+            )
+            .ok_or(SchedError::NoProcessors)?,
         };
         // §4.1/§4.2 dynamic model: every in-communication becomes
         // available at the ready time and is placed in cost-descending
         // order.
-        let ready = dag
-            .predecessors(task)
-            .map(|s| placed[s.index()].expect("predecessors placed first").finish)
-            .fold(0.0_f64, f64::max);
+        let ready = ready_time(dag, &placed, task);
         let in_edges = dag.in_edges(task);
         edge_costs.clear();
         edge_costs.extend(in_edges.iter().map(|&e| dag.cost(e)));
@@ -382,40 +391,6 @@ fn rebuild(
         comms,
         makespan,
     })
-}
-
-/// OIHSA's §4.1 hybrid static criterion restricted to the usable
-/// processors (mirrors `ListScheduler`'s, with the surviving MLS).
-fn pick_target(
-    dag: &TaskGraph,
-    masked: &Topology,
-    procs: &ProcState,
-    placed: &[Option<TaskPlacement>],
-    usable: &[bool],
-    mls: f64,
-    task: TaskId,
-) -> Result<ProcId, SchedError> {
-    let weight = dag.weight(task);
-    let mut best: Option<(ProcId, f64)> = None;
-    for p in masked.proc_ids().filter(|&p| usable[p.index()]) {
-        let mut comm_part = 0.0_f64;
-        for &e in dag.in_edges(task) {
-            let edge = dag.edge(e);
-            let src = placed[edge.src.index()].expect("predecessors placed first");
-            let est = if src.proc == p {
-                src.finish
-            } else {
-                src.finish + edge.cost / mls
-            };
-            comm_part = comm_part.max(est);
-        }
-        let start = comm_part.max(procs.finish_time(p));
-        let value = start + weight / masked.proc_speed(p);
-        if best.is_none_or(|(_, bv)| value < bv - EPS) {
-            best = Some((p, value));
-        }
-    }
-    best.map(|(p, _)| p).ok_or(SchedError::NoProcessors)
 }
 
 /// Did the communication's realisation change in a way the robustness
@@ -546,6 +521,37 @@ mod tests {
             repair(&dag, &topo, &s, &plan),
             Err(RepairError::NoSurvivingProcessors)
         ));
+    }
+
+    #[test]
+    fn repair_skips_an_unusable_processor_that_would_win() {
+        // The fast p0 stays alive but loses its only cable, so it is
+        // cut off from the larger surviving component {p2, p3}. The
+        // hybrid criterion would pick it for every moved task.
+        let mut b = Topology::builder();
+        let (n0, _) = b.add_processor(10.0);
+        let (n1, _) = b.add_processor(1.0);
+        let (n2, _) = b.add_processor(1.0);
+        let (n3, _) = b.add_processor(1.0);
+        let sw = b.add_switch();
+        let (l_fwd, l_rev) = b.add_duplex_cable(n0, sw, 1.0);
+        for n in [n1, n2, n3] {
+            b.add_duplex_cable(n, sw, 1.0);
+        }
+        let topo = b.build().unwrap();
+        let dag = fork_join(4, 10.0, 1.0);
+        let s = ListScheduler::oihsa().schedule(&dag, &topo).unwrap();
+        assert!(s.tasks.iter().any(|t| t.proc == ProcId(0)));
+        let mut plan = FaultPlan::kill_link(&topo, l_fwd, 0.0);
+        plan.link_fail[l_rev.index()] = 0.0;
+        plan.proc_fail = FaultPlan::kill_processor(&topo, ProcId(1), 0.0).proc_fail;
+        let out = repair(&dag, &topo, &s, &plan).unwrap();
+        assert!(audit(&dag, &topo, &out.schedule).is_clean());
+        assert!(out
+            .schedule
+            .tasks
+            .iter()
+            .all(|t| t.proc == ProcId(2) || t.proc == ProcId(3)));
     }
 
     #[test]

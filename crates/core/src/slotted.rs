@@ -21,6 +21,14 @@
 //! copy-on-write deltas over the committed queues, and only the winner
 //! is committed here (DESIGN.md §11).
 //!
+//! Both states route through one search, `pick_route_into`, and bound
+//! every hop with one causality rule, `hop_bound`. The search takes
+//! the per-link probe as a closure: the committed state passes
+//! `queues[l].probe(bound, int)`, the overlay passes
+//! `overlay_probe(&base[l], &deltas[l], bound, int)`. Each closure is
+//! monomorphised into its own copy of the search, so sharing the code
+//! costs nothing per probe.
+//!
 //! # Performance model (DESIGN.md §10)
 //!
 //! With [`Tuning::route_cache`] on, the overlay probe memoizes
@@ -115,62 +123,195 @@ enum BfsEntry {
     Route(Route),
 }
 
-/// Flat arena of memoized BFS routes, indexed `src * stride + dst`
-/// (DESIGN.md §16). Replaces the former `BTreeMap<(NodeId, NodeId),
-/// Option<Route>>`: a lookup is one multiply-add into a dense `Vec`
-/// instead of an ordered-map walk, and a cached hit hands back a
-/// borrowed `&[Hop]` so the probe hot path never clones a route.
-/// Entries are guarded by the topology signature exactly like the map
-/// was; an unsigned view (signature 0) is never trusted and re-resets
-/// the arena on every call.
+/// The route memo and search scratch of one prober — the committed
+/// [`SlottedState`] or one lane's [`ProbeWorkspace`] — reused across
+/// placements (clear-don't-drop; no behavioural effect).
+///
+/// BFS routes live in a flat arena indexed `src * stride + dst`
+/// (DESIGN.md §16): a lookup is one multiply-add into a dense `Vec`,
+/// and a hit hands back a borrowed `&[Hop]` so the probe hot path never
+/// clones a route. The arena is guarded by the topology signature; an
+/// unsigned view (signature 0) is never trusted and resets it on every
+/// call. Dense storage makes lookups deterministic by construction,
+/// which satisfies the analyze/determinism audits without an ordered
+/// map.
 #[derive(Clone, Debug)]
-struct BfsRouteArena {
+struct RouteMemo {
     /// [`Topology::signature`] of the view the arena was filled from.
     sig: u64,
     /// Node count of that view (row stride).
     stride: usize,
-    slots: Vec<BfsEntry>,
+    bfs_routes: Vec<BfsEntry>,
+    bfs_scratch: BfsScratch,
+    dijkstra_scratch: DijkstraScratch<(f64, f64)>,
 }
 
-impl BfsRouteArena {
+impl RouteMemo {
     fn new() -> Self {
         Self {
             sig: 0,
             stride: 0,
-            slots: Vec::new(),
+            bfs_routes: Vec::new(),
+            bfs_scratch: BfsScratch::new(),
+            dijkstra_scratch: DijkstraScratch::new(),
         }
     }
 
-    /// The memoized minimal route `src -> dst` under the adjacency
-    /// view that `sig` names, computing and caching it on first use.
-    /// A different view (e.g. a masked repair topology) or an unsigned
-    /// one resets the arena: minimal routes may differ, so the
-    /// memoized ones must not be served.
-    fn route_for(
-        &mut self,
-        topo: &Topology,
-        sig: u64,
-        src: NodeId,
-        dst: NodeId,
-        scratch: &mut BfsScratch,
-    ) -> Option<&[Hop]> {
+    /// The memoized minimal route `src -> dst` under `topo`'s adjacency
+    /// view, computing and caching it on first use. A different view
+    /// (e.g. a masked repair topology) or an unsigned one resets the
+    /// arena: minimal routes may differ, so the memoized ones must not
+    /// be served.
+    fn route_for(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<&[Hop]> {
+        let sig = topo.signature();
         let n = topo.node_count();
         if sig == 0 || sig != self.sig || n != self.stride {
             self.sig = sig;
             self.stride = n;
-            self.slots.clear();
-            self.slots.resize(n * n, BfsEntry::Unknown);
+            self.bfs_routes.clear();
+            self.bfs_routes.resize(n * n, BfsEntry::Unknown);
         }
         let i = src.index() * self.stride + dst.index();
-        if matches!(self.slots[i], BfsEntry::Unknown) {
-            self.slots[i] = match bfs_route_with(topo, src, dst, scratch) {
+        if matches!(self.bfs_routes[i], BfsEntry::Unknown) {
+            self.bfs_routes[i] = match bfs_route_with(topo, src, dst, &mut self.bfs_scratch) {
                 Some(r) => BfsEntry::Route(r),
                 None => BfsEntry::NoRoute,
             };
         }
-        match &self.slots[i] {
+        match &self.bfs_routes[i] {
             BfsEntry::Route(r) => Some(r),
             _ => None,
+        }
+    }
+}
+
+/// Identity of one memoizable overlay search. There is no link-state
+/// epoch or topology signature in it: a [`ProbeWorkspace`]'s searches
+/// live inside a single `pick_by_probe` call (one ready task, one
+/// immutable base, one topology view) and are invalidated wholesale
+/// between tasks via [`ProbeWorkspace::begin_candidate`]'s serial.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct WorkerSearchKey {
+    src: NodeId,
+    /// `est.to_bits()` — bitwise, no tolerance.
+    est: u64,
+    /// `cost.to_bits()`.
+    cost: u64,
+    switching: Switching,
+}
+
+/// A lane's resumable modified-Dijkstra searches, valid for one probe
+/// cycle (overlay only).
+type SearchCache = Vec<(WorkerSearchKey, IncrementalDijkstra<(f64, f64)>)>;
+
+/// Link causality (§2.2): the earliest a transfer of duration `int` may
+/// start on a hop whose previous hop carried it over
+/// `[prev_start, prev_finish)`, with switch latency `delay` in between.
+/// Cut-through starts no earlier than on the previous link and finishes
+/// no earlier either — the "virtual start" bound
+/// `max(t_s(prev), t_f(prev) - int)` enforces both at full bandwidth.
+/// Store-and-forward waits for the whole message instead.
+fn hop_bound(prev_start: f64, prev_finish: f64, delay: f64, int: f64, switching: Switching) -> f64 {
+    match switching {
+        Switching::CutThrough => (prev_start + delay).max(prev_finish + delay - int),
+        Switching::StoreAndForward => prev_finish + delay,
+    }
+}
+
+/// The one route search (§4.3) behind [`SlottedState`] and
+/// [`OverlayState`]; writes the route into `out` and returns whether
+/// one exists (`out` is meaningful only then).
+///
+/// BFS minimal routes come from `memo`. The modified Dijkstra relaxes
+/// each hop by this communication's finish time on it, read from
+/// `probe(link, bound, int)` — a basic-insertion probe of the committed
+/// queue or of one lane's overlay. `resume` is the overlay's cache of
+/// incremental searches, passed only while a cached search may serve;
+/// without it the search runs fresh, over `memo`'s scratch when
+/// `route_cache` is on and through the allocating reference search
+/// otherwise.
+#[allow(clippy::too_many_arguments)]
+fn pick_route_into(
+    topo: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    est: f64,
+    cost: f64,
+    routing: Routing,
+    switching: Switching,
+    route_cache: bool,
+    memo: &mut RouteMemo,
+    resume: Option<&mut SearchCache>,
+    probe: impl Fn(usize, f64, f64) -> f64,
+    out: &mut Vec<Hop>,
+) -> bool {
+    match routing {
+        Routing::Bfs => match memo.route_for(topo, src, dst) {
+            Some(hops) => {
+                out.clear();
+                out.extend_from_slice(hops);
+                true
+            }
+            None => false,
+        },
+        Routing::ModifiedDijkstra => {
+            // The hop delay is applied uniformly (including the first
+            // hop) — a conservative metric; actual placement applies
+            // it precisely.
+            let delay = topo.hop_delay();
+            let relax = move |&(s, f): &(f64, f64), hop: &Hop| {
+                let int = cost / topo.link_speed(hop.link);
+                let start = probe(
+                    hop.link.index(),
+                    hop_bound(s, f, delay, int, switching),
+                    int,
+                );
+                (start, (start + int).max(f))
+            };
+            let key = |&(_, f): &(f64, f64)| f;
+            if let Some(cache) = resume {
+                let k = WorkerSearchKey {
+                    src,
+                    est: est.to_bits(),
+                    cost: cost.to_bits(),
+                    switching,
+                };
+                let search = if let Some(i) = cache.iter().position(|(ck, _)| *ck == k) {
+                    ROUTE_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+                    &mut cache[i].1
+                } else {
+                    ROUTE_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
+                    if cache.len() >= ROUTE_CACHE_CAP {
+                        cache.remove(0);
+                    }
+                    cache.push((
+                        k,
+                        IncrementalDijkstra::new(topo.node_count(), src, (est, est), est),
+                    ));
+                    &mut cache.last_mut().expect("just pushed").1
+                };
+                search.route_to_into(topo, dst, relax, key, out).is_some()
+            } else if route_cache {
+                dijkstra_route_into_with(
+                    topo,
+                    src,
+                    dst,
+                    (est, est),
+                    relax,
+                    key,
+                    &mut memo.dijkstra_scratch,
+                    out,
+                )
+                .is_some()
+            } else {
+                match dijkstra_route(topo, src, dst, (est, est), relax, key) {
+                    Some((route, _)) => {
+                        *out = route;
+                        true
+                    }
+                    None => false,
+                }
+            }
         }
     }
 }
@@ -189,17 +330,12 @@ struct CommRecord {
 pub struct SlottedState {
     queues: Vec<SlotQueue>,
     comms: Vec<CommRecord>,
-    /// Memoized BFS routes, signature-guarded (see [`BfsRouteArena`]).
-    /// Dense arena: lookups are deterministic by construction, which
-    /// satisfies the analyze/determinism audits without an ordered map.
-    bfs_cache: BfsRouteArena,
+    routes: RouteMemo,
     tuning: Tuning,
     /// Scratch buffers reused across placements (allocation hoisting;
     /// no behavioural effect).
-    bfs_scratch: BfsScratch,
     insert_scratch: InsertScratch,
     dts_scratch: Vec<f64>,
-    search_scratch: DijkstraScratch<(f64, f64)>,
     route_scratch: Vec<Hop>,
 }
 
@@ -217,12 +353,10 @@ impl SlottedState {
                 .map(|_| SlotQueue::indexed(tuning.indexed_gaps))
                 .collect(),
             comms: vec![CommRecord::default(); comm_count],
-            bfs_cache: BfsRouteArena::new(),
+            routes: RouteMemo::new(),
             tuning,
-            bfs_scratch: BfsScratch::new(),
             insert_scratch: InsertScratch::new(),
             dts_scratch: Vec::new(),
-            search_scratch: DijkstraScratch::new(),
             route_scratch: Vec::new(),
         }
     }
@@ -286,7 +420,21 @@ impl SlottedState {
         let src = topo.node_of_proc(from);
         let dst = topo.node_of_proc(to);
         let mut route = std::mem::take(&mut self.route_scratch);
-        let found = self.pick_route_into(topo, src, dst, est, cost, routing, switching, &mut route);
+        let queues = &self.queues;
+        let found = pick_route_into(
+            topo,
+            src,
+            dst,
+            est,
+            cost,
+            routing,
+            switching,
+            self.tuning.route_cache,
+            &mut self.routes,
+            None,
+            |l, bound, int| queues[l].probe(bound, int),
+            &mut route,
+        );
         if !found {
             self.route_scratch = route;
             return Err(SchedError::NoRoute { from, to });
@@ -294,83 +442,6 @@ impl SlottedState {
         let arrival = self.place_on_route(topo, comm, est, cost, &route, insertion, switching);
         self.route_scratch = route;
         Ok(arrival)
-    }
-
-    /// Choose a route per the configured strategy into a caller-owned
-    /// buffer; returns whether a route exists (`out` is meaningful
-    /// only then). The buffer-filling shape keeps the steady-state
-    /// probe loop free of per-candidate route allocations.
-    #[allow(clippy::too_many_arguments)]
-    fn pick_route_into(
-        &mut self,
-        topo: &Topology,
-        src: NodeId,
-        dst: NodeId,
-        est: f64,
-        cost: f64,
-        routing: Routing,
-        switching: Switching,
-        out: &mut Vec<Hop>,
-    ) -> bool {
-        match routing {
-            Routing::Bfs => {
-                // TWIN(bfs-cache-guard): begin
-                let sig = topo.signature();
-                let scratch = &mut self.bfs_scratch;
-                match self.bfs_cache.route_for(topo, sig, src, dst, scratch) {
-                    Some(hops) => {
-                        out.clear();
-                        out.extend_from_slice(hops);
-                        true
-                    }
-                    None => false,
-                }
-                // TWIN(bfs-cache-guard): end
-            }
-            Routing::ModifiedDijkstra => {
-                // §4.3: relax by the finish time of this communication
-                // on each link, probed with basic insertion against the
-                // current schedules. The hop delay is applied uniformly
-                // (including the first hop) — a conservative metric;
-                // actual placement applies it precisely.
-                let queues = &self.queues;
-                // TWIN(dijkstra-relax): begin
-                let delay = topo.hop_delay();
-                let relax = move |&(s, f): &(f64, f64), hop: &Hop| {
-                    let int = cost / topo.link_speed(hop.link);
-                    let bound = match switching {
-                        Switching::CutThrough => (s + delay).max(f + delay - int),
-                        Switching::StoreAndForward => f + delay,
-                    };
-                    let start = queues[hop.link.index()].probe(bound, int); // TWIN-OK: serial probes the committed queues directly
-                    (start, (start + int).max(f))
-                };
-                let key = |&(_, f): &(f64, f64)| f;
-                // TWIN(dijkstra-relax): end
-                if self.tuning.route_cache {
-                    // The same search over hoisted scratch buffers.
-                    dijkstra_route_into_with(
-                        topo,
-                        src,
-                        dst,
-                        (est, est),
-                        relax,
-                        key,
-                        &mut self.search_scratch,
-                        out,
-                    )
-                    .is_some()
-                } else {
-                    match dijkstra_route(topo, src, dst, (est, est), relax, key) {
-                        Some((route, _)) => {
-                            *out = route;
-                            true
-                        }
-                        None => false,
-                    }
-                }
-            }
-        }
     }
 
     /// Place a communication on every hop of `route` in order,
@@ -393,20 +464,10 @@ impl SlottedState {
 
         let (mut prev_start, mut prev_finish) = (est, est);
         for (seq, hop) in route.iter().enumerate() {
-            // TWIN(hop-bound): begin
             let int = cost / topo.link_speed(hop.link);
             // Per-hop switch latency applies from the second hop on.
             let delay = if seq == 0 { 0.0 } else { topo.hop_delay() };
-            // Link causality (§2.2): start no earlier than on the
-            // previous link; finish no earlier either — the "virtual
-            // start" bound max(t_s(prev), t_f(prev) - int) enforces
-            // both at full bandwidth. Store-and-forward waits for the
-            // whole message instead.
-            let bound = match switching {
-                Switching::CutThrough => (prev_start + delay).max(prev_finish + delay - int),
-                Switching::StoreAndForward => prev_finish + delay,
-            };
-            // TWIN(hop-bound): end
+            let bound = hop_bound(prev_start, prev_finish, delay, int, switching);
             let (start, finish) = match insertion {
                 Insertion::Basic => {
                     let queue = &mut self.queues[hop.link.index()];
@@ -541,21 +602,6 @@ impl SlottedState {
     }
 }
 
-/// Identity of one memoizable overlay search. There is no link-state
-/// epoch or topology signature in it: a [`ProbeWorkspace`]'s searches
-/// live inside a single `pick_by_probe` call (one ready task, one
-/// immutable base, one topology view) and are invalidated wholesale
-/// between tasks via [`ProbeWorkspace::begin_candidate`]'s serial.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct WorkerSearchKey {
-    src: NodeId,
-    /// `est.to_bits()` — bitwise, no tolerance.
-    est: u64,
-    /// `cost.to_bits()`.
-    cost: u64,
-    switching: Switching,
-}
-
 /// Per-lane scratch for speculative overlay probing (DESIGN.md §11).
 ///
 /// Each worker lane owns one workspace for the whole scheduling run;
@@ -572,15 +618,12 @@ pub struct ProbeWorkspace {
     deltas: Vec<Vec<Slot>>,
     /// Links whose delta is currently non-empty.
     touched: Vec<usize>,
-    /// Lane-local mirror of [`SlottedState::bfs_cache`] (same
-    /// signature guard); survives across tasks — minimal routes only
-    /// depend on the adjacency view.
-    bfs_cache: BfsRouteArena,
-    bfs_scratch: BfsScratch,
-    search_scratch: DijkstraScratch<(f64, f64)>,
+    /// Lane-local route memo; its BFS routes survive across tasks —
+    /// minimal routes only depend on the adjacency view.
+    routes: RouteMemo,
     route_scratch: Vec<Hop>,
     /// Lane-local incremental searches, valid for one probe cycle.
-    incr: Vec<(WorkerSearchKey, IncrementalDijkstra<(f64, f64)>)>,
+    incr: SearchCache,
     /// The probe cycle (task) `incr` belongs to.
     probe_serial: u64,
 }
@@ -592,9 +635,7 @@ impl ProbeWorkspace {
         Self {
             deltas: vec![Vec::new(); link_count],
             touched: Vec::new(),
-            bfs_cache: BfsRouteArena::new(),
-            bfs_scratch: BfsScratch::new(),
-            search_scratch: DijkstraScratch::new(),
+            routes: RouteMemo::new(),
             route_scratch: Vec::new(),
             incr: Vec::new(),
             probe_serial: 0,
@@ -623,8 +664,9 @@ impl ProbeWorkspace {
 /// earliest-finish processor probe needs — basic-insertion
 /// `schedule_comm` — and answers it bitwise identically to scheduling
 /// onto the real queues and rolling back, by construction: overlay
-/// probes equal real-queue probes ([`SlotQueueOverlay`]'s contract) and
-/// the route searches run the very same relax/key closures.
+/// probes equal real-queue probes ([`SlotQueueOverlay`]'s contract), and
+/// both states route through the same search and bound each hop by the
+/// same causality rule.
 pub struct OverlayState<'a> {
     base: &'a [SlotQueue],
     tuning: Tuning,
@@ -640,7 +682,7 @@ impl<'a> OverlayState<'a> {
         Self { base, tuning, ws }
     }
 
-    /// Probe-only twin of [`SlottedState::schedule_comm`] with
+    /// Probe-only counterpart of [`SlottedState::schedule_comm`] with
     /// [`Insertion::Basic`] (the only insertion probes ever use):
     /// routes the communication and places every hop into this lane's
     /// private deltas, returning the arrival time at the destination.
@@ -659,8 +701,28 @@ impl<'a> OverlayState<'a> {
         debug_assert_ne!(from, to, "local communications never reach the link layer");
         let src = topo.node_of_proc(from);
         let dst = topo.node_of_proc(to);
-        let mut route = std::mem::take(&mut self.ws.route_scratch);
-        let found = self.pick_route_into(topo, src, dst, est, cost, routing, switching, &mut route);
+        let ws = &mut *self.ws;
+        let mut route = std::mem::take(&mut ws.route_scratch);
+        // A memoized search is resumable only while the link state it
+        // probed is provably unchanged: "no private delta yet" — each
+        // candidate's first searches probe the committed queues
+        // themselves, the same state for every candidate of the task.
+        let resumable = self.tuning.route_cache && topo.signature() != 0 && ws.touched.is_empty();
+        let (base, deltas) = (self.base, &ws.deltas);
+        let found = pick_route_into(
+            topo,
+            src,
+            dst,
+            est,
+            cost,
+            routing,
+            switching,
+            self.tuning.route_cache,
+            &mut ws.routes,
+            resumable.then_some(&mut ws.incr),
+            |l, bound, int| overlay_probe(&base[l], &deltas[l], bound, int),
+            &mut route,
+        );
         if !found {
             self.ws.route_scratch = route;
             return Err(SchedError::NoRoute { from, to });
@@ -670,113 +732,9 @@ impl<'a> OverlayState<'a> {
         Ok(arrival)
     }
 
-    /// Overlay mirror of [`SlottedState::pick_route_into`] — statement
-    /// for statement, with queue probes going through the merged view.
-    #[allow(clippy::too_many_arguments)]
-    fn pick_route_into(
-        &mut self,
-        topo: &Topology,
-        src: NodeId,
-        dst: NodeId,
-        est: f64,
-        cost: f64,
-        routing: Routing,
-        switching: Switching,
-        out: &mut Vec<Hop>,
-    ) -> bool {
-        match routing {
-            Routing::Bfs => {
-                let ws = &mut *self.ws;
-                // TWIN(bfs-cache-guard): begin map ws=self
-                let sig = topo.signature();
-                let scratch = &mut ws.bfs_scratch;
-                match ws.bfs_cache.route_for(topo, sig, src, dst, scratch) {
-                    Some(hops) => {
-                        out.clear();
-                        out.extend_from_slice(hops);
-                        true
-                    }
-                    None => false,
-                }
-                // TWIN(bfs-cache-guard): end
-            }
-            Routing::ModifiedDijkstra => {
-                let base = self.base;
-                let ws = &mut *self.ws;
-                let deltas = &ws.deltas;
-                // TWIN(dijkstra-relax): begin
-                let delay = topo.hop_delay();
-                let relax = move |&(s, f): &(f64, f64), hop: &Hop| {
-                    let int = cost / topo.link_speed(hop.link);
-                    let bound = match switching {
-                        Switching::CutThrough => (s + delay).max(f + delay - int),
-                        Switching::StoreAndForward => f + delay,
-                    };
-                    let l = hop.link.index(); // TWIN-OK: overlay indexes per-link base/delta pairs
-                    let start = overlay_probe(&base[l], &deltas[l], bound, int); // TWIN-OK: overlay probes the merged base+delta view
-                    (start, (start + int).max(f))
-                };
-                let key = |&(_, f): &(f64, f64)| f;
-                // TWIN(dijkstra-relax): end
-
-                // A memoized search is resumable only while the link
-                // state it probed is provably unchanged: "no private
-                // delta yet" — each candidate's first searches probe
-                // the committed queues themselves, the same state for
-                // every candidate of the task.
-                let cacheable =
-                    self.tuning.route_cache && topo.signature() != 0 && ws.touched.is_empty();
-                if cacheable {
-                    let k = WorkerSearchKey {
-                        src,
-                        est: est.to_bits(),
-                        cost: cost.to_bits(),
-                        switching,
-                    };
-                    let cache = &mut ws.incr;
-                    let entry = if let Some(i) = cache.iter().position(|(key, _)| *key == k) {
-                        ROUTE_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-                        &mut cache[i].1
-                    } else {
-                        ROUTE_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-                        if cache.len() >= ROUTE_CACHE_CAP {
-                            cache.remove(0);
-                        }
-                        cache.push((
-                            k,
-                            IncrementalDijkstra::new(topo.node_count(), src, (est, est), est),
-                        ));
-                        &mut cache.last_mut().expect("just pushed").1
-                    };
-                    entry.route_to_into(topo, dst, relax, key, out).is_some()
-                } else if self.tuning.route_cache {
-                    dijkstra_route_into_with(
-                        topo,
-                        src,
-                        dst,
-                        (est, est),
-                        relax,
-                        key,
-                        &mut ws.search_scratch,
-                        out,
-                    )
-                    .is_some()
-                } else {
-                    match dijkstra_route(topo, src, dst, (est, est), relax, key) {
-                        Some((route, _)) => {
-                            *out = route;
-                            true
-                        }
-                        None => false,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Overlay mirror of [`SlottedState::place_on_route`], basic
-    /// insertion only: per-hop probe against the merged view, commit
-    /// into the private delta. Returns the arrival on the last hop.
+    /// Per-hop placement with basic insertion only: probe the merged
+    /// view, commit into the private delta. Returns the arrival on the
+    /// last hop.
     fn place_on_route(
         &mut self,
         topo: &Topology,
@@ -789,15 +747,9 @@ impl<'a> OverlayState<'a> {
         let ws = &mut *self.ws;
         let (mut prev_start, mut prev_finish) = (est, est);
         for (seq, hop) in route.iter().enumerate() {
-            // TWIN(hop-bound): begin
             let int = cost / topo.link_speed(hop.link);
-            // Per-hop switch latency applies from the second hop on.
             let delay = if seq == 0 { 0.0 } else { topo.hop_delay() };
-            let bound = match switching {
-                Switching::CutThrough => (prev_start + delay).max(prev_finish + delay - int),
-                Switching::StoreAndForward => prev_finish + delay,
-            };
-            // TWIN(hop-bound): end
+            let bound = hop_bound(prev_start, prev_finish, delay, int, switching);
             let l = hop.link.index();
             let base = &self.base[l];
             let delta = &mut ws.deltas[l];
@@ -1188,6 +1140,35 @@ mod tests {
     }
 
     #[test]
+    fn hop_bound_follows_the_switching_mode() {
+        // Previous hop [2, 10); 4 time units here; switch delay 0.5.
+        // Cut-through must finish by 10.5 at the earliest: start 6.5.
+        assert_eq!(hop_bound(2.0, 10.0, 0.5, 4.0, Switching::CutThrough), 6.5);
+        // A longer transfer is held back by the previous start instead.
+        assert_eq!(hop_bound(2.0, 10.0, 0.5, 9.0, Switching::CutThrough), 2.5);
+        // Store-and-forward waits for the whole message.
+        assert_eq!(
+            hop_bound(2.0, 10.0, 0.5, 4.0, Switching::StoreAndForward),
+            10.5
+        );
+        // Both placement loops leave the first hop at the EST itself;
+        // only later hops pay the switch delay.
+        let topo = delayed_line(0.5);
+        let mut st = SlottedState::new(&topo, 1);
+        let (from, to) = (ProcId(0), ProcId(1));
+        let (bfs, ct) = (Routing::Bfs, Switching::CutThrough);
+        let mut ws = ProbeWorkspace::new(topo.link_count());
+        ws.begin_candidate(1);
+        let probed = OverlayState::new(st.queues(), st.tuning(), &mut ws)
+            .schedule_comm(&topo, c(0), 1.0, 4.0, from, to, bfs, ct)
+            .unwrap();
+        st.schedule_comm(&topo, c(0), 1.0, 4.0, from, to, bfs, Insertion::Basic, ct)
+            .unwrap();
+        assert_eq!(st.placement(c(0)).1, vec![(1.0, 5.0), (1.5, 5.5)]);
+        assert_eq!(probed, 5.5);
+    }
+
+    #[test]
     fn deferrable_times_subtract_the_hop_delay() {
         let topo = delayed_line(0.5);
         let mut st = SlottedState::new(&topo, 4);
@@ -1443,48 +1424,17 @@ mod tests {
         let src = topo.node_of_proc(ProcId(0));
         let dst = topo.node_of_proc(ProcId(1));
 
-        let mut st = SlottedState::with_tuning(&topo, 4, Tuning::optimized());
-        let mut first = Vec::new();
-        assert!(st.pick_route_into(
-            &topo,
-            src,
-            dst,
-            0.0,
-            1.0,
-            Routing::Bfs,
-            Switching::CutThrough,
-            &mut first,
-        ));
+        let mut memo = RouteMemo::new();
+        let first = memo.route_for(&topo, src, dst).unwrap().to_vec();
         let used = first[0].link;
         let masked = topo.masked(|l| l == used);
-        let mut rerouted = Vec::new();
-        assert!(st.pick_route_into(
-            &masked,
-            src,
-            dst,
-            0.0,
-            1.0,
-            Routing::Bfs,
-            Switching::CutThrough,
-            &mut rerouted,
-        ));
+        let rerouted = memo.route_for(&masked, src, dst).unwrap();
         assert!(
             rerouted.iter().all(|h| h.link != used),
             "stale cached route served across a masked view"
         );
         // And back: the original view gets its own fresh fill again.
-        let mut back = Vec::new();
-        assert!(st.pick_route_into(
-            &topo,
-            src,
-            dst,
-            0.0,
-            1.0,
-            Routing::Bfs,
-            Switching::CutThrough,
-            &mut back,
-        ));
-        assert_eq!(back, first);
+        assert_eq!(memo.route_for(&topo, src, dst).unwrap(), first);
     }
 
     /// Two disjoint switch paths p0 -> p1 with some traffic preloaded,

@@ -7,7 +7,7 @@
 //! table, the worker table, the stats — is owned by a **single event
 //! loop** fed by an mpsc channel. Listener, per-connection readers,
 //! per-worker readers and the ticker are I/O pumps that only convert
-//! bytes/time into [`Event`]s; client writer threads only convert
+//! bytes/time into `Event`s; client writer threads only convert
 //! frames back into bytes. No mutex guards any driver state, so
 //! there is nothing to poison, no lock ordering to get wrong, and the
 //! supervision logic is exactly as testable as a pure state machine.

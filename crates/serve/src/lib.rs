@@ -20,7 +20,7 @@
 //! - [`driver`] — the single-owner event loop and worker supervision;
 //! - [`worker`] — the stateless compute process;
 //! - [`client`] — a small synchronous client;
-//! - [`bench`] — the load generator + bitwise verifier.
+//! - [`mod@bench`] — the load generator + bitwise verifier.
 
 pub mod bench;
 pub mod chaos;

@@ -1,5 +1,5 @@
 //! The `xtask analyze` workspace pass: orchestrates the token-level
-//! lints (L1–L5), the syntax-aware passes (N1–N5, see
+//! lints (L1–L5), the syntax-aware passes (N1, N2, N4, N5, see
 //! [`crate::passes`]), the optional runtime determinism audit
 //! ([`crate::determinism`]), and the suppression file
 //! ([`crate::report`]).
@@ -17,8 +17,9 @@
 //!   in `crates/core` sources must be documented in DESIGN.md's
 //!   diagnostics table, and vice versa.
 //! * **L4 / ES-A004** — no `Vec::new` / `.collect()` inside the loop
-//!   bodies of the probe/rebuild functions in `crates/core/src/list.rs`
-//!   and `crates/core/src/repair.rs`.
+//!   bodies of the probe/rebuild functions in `crates/core/src/list.rs`,
+//!   `bbsa.rs` and `repair.rs`, and of the processor-choice rules they
+//!   share in `procsched.rs`.
 //! * **L5 / ES-A007** — no per-iteration heap allocation (`Box::new`,
 //!   `String::new`, `vec!`, `format!`, `.to_vec()`, `.to_string()`,
 //!   `.to_owned()`) and no `BTreeMap`/`BTreeSet` access inside the
@@ -30,8 +31,8 @@
 //! silently narrow their scope.
 //!
 //! Syntax-aware passes (DESIGN.md §12): N1 nondeterminism taint, N2
-//! epoch discipline, N3 twin drift, N4 unsafe audit, N5 lock
-//! discipline.
+//! epoch discipline, N4 unsafe audit, N5 lock discipline. (N3 is
+//! retired with its codes ES-A030/ES-A031; neither is reused.)
 //!
 //! Findings print as `CODE PASS file:line — message` (or as one
 //! `es-analyze-v1` JSON document with `--json`) and the process exits
@@ -130,7 +131,7 @@ pub fn run(args: &[String]) -> i32 {
         }
         if active.is_empty() {
             println!(
-                "analyze: clean (L1-L5, N1-N5{} pass; {} suppressed)",
+                "analyze: clean (L1-L5, N1, N2, N4, N5{} pass; {} suppressed)",
                 if run_determinism { ", DET" } else { "" },
                 suppressed.len()
             );
@@ -148,7 +149,8 @@ pub fn run(args: &[String]) -> i32 {
     }
 }
 
-/// All static findings for the workspace at `root` (L1–L5 and N1–N5),
+/// All static findings for the workspace at `root` (L1–L5 and N1, N2,
+/// N4, N5),
 /// before suppression handling; sorted by (code, file, line).
 pub fn analyze_workspace(root: &Path) -> Vec<Finding> {
     let files = rust_sources(root);
@@ -250,12 +252,14 @@ fn probe_fns(rel: &str) -> &'static [&'static str] {
             "pick_by_probe",
             "pick_by_probe_serial",
             "pick_by_probe_overlay",
-            "pick_by_hybrid_criterion",
             "schedule_in_edges",
-            "prepare_probe_edges",
+            "prepare_in_edges",
             "order_in_edges",
+            "walk_in_edges",
         ],
-        "crates/core/src/repair.rs" => &["rebuild", "pick_target"],
+        "crates/core/src/bbsa.rs" => &["pick_by_probe", "schedule_in_edges"],
+        "crates/core/src/procsched.rs" => &["pick_hybrid", "keep_better", "ready_time"],
+        "crates/core/src/repair.rs" => &["rebuild"],
         _ => &[],
     }
 }
@@ -268,11 +272,13 @@ fn batch_probe_fns(rel: &str) -> &'static [&'static str] {
         "crates/core/src/list.rs" => &[
             "pick_by_probe_serial",
             "pick_by_probe_overlay",
-            "prepare_probe_edges",
+            "prepare_in_edges",
+            "walk_in_edges",
         ],
         "crates/core/src/slotted.rs" => &[
             "schedule_comm",
             "pick_route_into",
+            "hop_bound",
             "place_on_route",
             "unschedule",
             "release_comms",
@@ -674,7 +680,7 @@ mod tests {
 
     #[test]
     fn l5_flags_allocations_and_tree_maps_in_batch_probe_loops() {
-        let src = "fn prepare_probe_edges(&mut self) {\n\
+        let src = "fn prepare_in_edges(&mut self) {\n\
                    for pe in edges {\n\
                    let b = Box::new(pe);\n\
                    let s = format!(\"{pe:?}\");\n\

@@ -2,7 +2,7 @@
 //!
 //! No `syn` is available offline, and the passes only need token-level
 //! facts (identifier occurrences, operators adjacent to float
-//! literals, token-stream equality for twin regions), so this
+//! literals), so this
 //! hand-rolled scanner is sufficient — and honest: it never guesses
 //! types, only reports lexical patterns, and the pass definitions in
 //! `passes` are phrased at exactly that level.
@@ -21,8 +21,7 @@ pub struct Token {
     /// 1-based line of the token's first character.
     pub line: u32,
     /// The raw source text of the token (for literals, the full
-    /// literal including quotes/prefix). The twin-drift pass compares
-    /// token streams by this field.
+    /// literal including quotes/prefix).
     pub text: String,
 }
 

@@ -9,11 +9,11 @@
 //! * [`lexer`] — minimal Rust token scanner;
 //! * [`parser`] — lightweight syntax layer (items, fn bodies, call
 //!   sites, `unsafe` surface);
-//! * [`passes`] — the syntax-aware passes N1–N5 over a parsed
+//! * [`passes`] — the syntax-aware passes N1, N2, N4 and N5 over a parsed
 //!   workspace [`passes::Model`];
 //! * [`report`] — finding codes, the suppression file, and the
 //!   `es-analyze-v1` JSON report;
-//! * [`analyze`] — orchestrator: token lints L1–L4 + N1–N5 + the
+//! * [`analyze`] — orchestrator: token lints L1–L5 + N1, N2, N4, N5 + the
 //!   optional runtime determinism audit ([`determinism`]).
 
 pub mod analyze;

@@ -81,8 +81,6 @@ SYNTAX-AWARE PASSES (DESIGN.md §12):
                touch()/cache invalidation (route-cache soundness);
       ES-A021  LinkModel mutator impls in es-linksched bump the epoch
                or delegate to a mutator that does
-  N3  ES-A030  twin drift: TWIN-delimited reference/optimized regions
-               stay token-identical modulo declared divergences
   N4  ES-A040  unsafe audit: SAFETY comments + DESIGN.md registry,
                cross-checked both ways
   N5  ES-A050  lock discipline in es-runner + es-serve: no lock

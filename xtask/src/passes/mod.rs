@@ -1,11 +1,10 @@
-//! The syntax-aware analysis passes (N1–N5) and the workspace model
+//! The syntax-aware analysis passes (N1, N2, N4, N5) and the workspace model
 //! they share. See DESIGN.md §12 for each pass's invariant, finding
 //! code, and known approximations.
 
 pub mod epoch;
 pub mod locks;
 pub mod taint;
-pub mod twin;
 pub mod unsafe_audit;
 
 use crate::parser::{self, ParsedFile};
@@ -52,11 +51,10 @@ impl Model {
         Model { files, design }
     }
 
-    /// Run all five syntax-aware passes and collect their findings.
+    /// Run all four syntax-aware passes and collect their findings.
     pub fn run_passes(&self) -> Vec<Finding> {
         let mut findings = taint::run(self);
         findings.extend(epoch::run(self));
-        findings.extend(twin::run(self));
         findings.extend(unsafe_audit::run(self));
         findings.extend(locks::run(self));
         findings

@@ -436,7 +436,7 @@ mod tests {
     #[test]
     fn ordered_float_max_fold_is_not_flagged() {
         // `fold(0.0, f64::max)` over an ordered Vec is order-insensitive
-        // enough for our twin paths and must not fire the reduction rule
+        // enough for the schedulers and must not fire the reduction rule
         // (no hash container involved).
         let m = model(
             "pub fn schedule(xs: &[f64]) -> f64 { xs.iter().copied().fold(0.0_f64, f64::max) }\n",

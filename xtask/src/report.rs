@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 pub struct Finding {
     /// Stable finding code (`ES-A0xx`), from the [`PASSES`] registry.
     pub code: &'static str,
-    /// Pass identifier (`L1`…`L4`, `N1`…`N5`, `DET`, `SUP`).
+    /// Pass identifier (`L1`…`L5`, `N1`, `N2`, `N4`, `N5`, `DET`, `SUP`).
     pub pass: &'static str,
     /// Path relative to the workspace root (empty for runtime audits).
     pub file: String,
@@ -86,12 +86,6 @@ pub const PASSES: &[PassDesc] = &[
         codes: &["ES-A020"],
         title: "epoch discipline: SlotQueue mutation sites pair with an \
                 epoch bump / cache invalidation",
-    },
-    PassDesc {
-        id: "N3",
-        codes: &["ES-A030", "ES-A031"],
-        title: "twin drift: TWIN-delimited reference/optimized regions stay \
-                token-identical modulo declared divergences",
     },
     PassDesc {
         id: "N4",
@@ -566,7 +560,7 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_the_json_reader() {
-        let active = vec![finding("ES-A030", "N3", "crates/core/src/slotted.rs", 3)];
+        let active = vec![finding("ES-A040", "N4", "crates/runner/src/lib.rs", 3)];
         let suppressed = vec![(
             finding("ES-A010", "N1", "a \"quoted\"\npath.rs", 1),
             "because".to_string(),
@@ -581,7 +575,7 @@ mod tests {
         assert_eq!(findings.len(), 2);
         assert_eq!(
             findings[0].get("code").and_then(json::Value::as_str),
-            Some("ES-A030")
+            Some("ES-A040")
         );
         assert_eq!(
             findings[1].get("suppressed"),
